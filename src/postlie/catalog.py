@@ -11,8 +11,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .classify import fingerprint_equal, is_lie_isomorphism
 from .exactla import Matrix, Subspace, Vector, coordinates
 from .liealg import LieAlgebra, direct_sum
+from .pastruct import (
+    derived_bracket,
+    derived_dim_inequality,
+    kernel_ideal_checks,
+    triple_decomposition,
+)
 from .rbops import (
     RBOperator,
     TriangularSplitSpec,
@@ -608,47 +615,39 @@ class WitnessReport:
         return all(passed for _, passed in self.steps)
 
 
-def verify_witness(w: Witness) -> WitnessReport:
-    """Run the full certification pipeline for one witness."""
-    from .classify import fingerprint_equal, is_lie_isomorphism
-    from .liealg import check_jacobi
-    from .pastruct import (
-        derived_dim_inequality,
-        kernel_ideal_checks,
-        triple_decomposition,
-        triple_decomposition_report,
-    )
+def _holds(check) -> bool:
+    """Run one check; an ArithmeticError from a failed invariant means False."""
+    try:
+        return bool(check())
+    except ArithmeticError:
+        return False
 
-    steps: list[tuple[str, bool]] = []
-    n = w.operator.algebra
-    steps.append(("rb_identity",
-                  is_rb_operator(n, w.operator.matrix, w.operator.weight)))
+
+def verify_witness(w: Witness) -> WitnessReport:
+    """Run the full certification pipeline for one witness.
+
+    ``derived_bracket`` raises unless g satisfies Jacobi and R, R+id are
+    homomorphisms g -> n; ``triple_decomposition`` raises unless every
+    invariant holds. Every step after the first two needs g, so when the RB
+    identity or g fails they are reported False without running.
+    """
+    op = w.operator
+    rb = is_rb_operator(op.algebra, op.matrix, op.weight)
     g = None
-    if steps[-1][1]:
-        from .pastruct import derived_bracket
+    if rb:
         try:
-            g = derived_bracket(w.operator)
-            steps.append(("derived_bracket_jacobi", check_jacobi(g)))
+            g = derived_bracket(op)
         except ArithmeticError:
-            steps.append(("derived_bracket_jacobi", False))
-    else:
-        steps.append(("derived_bracket_jacobi", False))
-    if g is not None:
-        steps.append(("kernel_ideals_depth2", kernel_ideal_checks(w.operator, 2)))
-        steps.append(("derived_dim_inequality_depth6",
-                      derived_dim_inequality(w.operator, 6)))
-        try:
-            dec = triple_decomposition(w.operator)
-            rep = triple_decomposition_report(w.operator, dec)
-            steps.append(("triple_decomposition", all(rep.values())))
-        except ArithmeticError:
-            steps.append(("triple_decomposition", False))
-        steps.append(("fingerprint_match", fingerprint_equal(g, w.target)))
-        if w.iso is not None:
-            steps.append(("explicit_isomorphism",
-                          is_lie_isomorphism(w.iso, g, w.target)))
-    else:
-        for label in ("kernel_ideals_depth2", "derived_dim_inequality_depth6",
-                      "triple_decomposition", "fingerprint_match"):
-            steps.append((label, False))
+            pass
+    checks = [
+        ("kernel_ideals_depth2", lambda: kernel_ideal_checks(op, 2)),
+        ("derived_dim_inequality_depth6", lambda: derived_dim_inequality(op, 6)),
+        ("triple_decomposition", lambda: triple_decomposition(op) is not None),
+        ("fingerprint_match", lambda: fingerprint_equal(g, w.target)),
+    ]
+    if w.iso is not None:
+        checks.append(("explicit_isomorphism",
+                       lambda: is_lie_isomorphism(w.iso, g, w.target)))
+    steps = [("rb_identity", rb), ("derived_bracket_jacobi", g is not None)]
+    steps += [(name, g is not None and _holds(check)) for name, check in checks]
     return WitnessReport(w.name, tuple(steps))

@@ -6,13 +6,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactla import Matrix, coordinates, unit_vector
+from .exactla import Matrix, coordinates, is_diagonalizable_2x2, unit_vector
 from .liealg import (
     LieAlgebra,
     bracket,
     check_jacobi,
     derived_series,
     fingerprint,
+    first_hom_failure,
     is_nilpotent,
 )
 
@@ -23,14 +24,7 @@ def is_lie_isomorphism(phi: Matrix, g: LieAlgebra, h: LieAlgebra) -> bool:
         raise ValueError("dimension mismatch")
     if phi.nrows != g.dim or phi.ncols != g.dim:
         raise ValueError("dimension mismatch")
-    if not phi.is_invertible():
-        return False
-    for i in range(g.dim):
-        ci = phi.column(i)
-        for j in range(i + 1, g.dim):
-            if phi.apply(g.table[i][j]) != bracket(h, ci, phi.column(j)):
-                return False
-    return True
+    return phi.is_invertible() and first_hom_failure(phi, g, h) is None
 
 
 def fingerprint_equal(g: LieAlgebra, h: LieAlgebra) -> bool:
@@ -75,10 +69,7 @@ def classify3(L: LieAlgebra) -> Class3:
         det = a.det()
         if det == 0:
             raise ArithmeticError("degenerate adjoint action on a 2-dim derived algebra")
-        disc = a.trace() ** 2 - 4 * det
-        scalar = (a.rows[0][1] == 0 and a.rows[1][0] == 0
-                  and a.rows[0][0] == a.rows[1][1])
-        if disc == 0 and not scalar:
+        if not is_diagonalizable_2x2(a):
             return Class3("r3")
         return Class3("r3_lambda", a.trace() ** 2 / det)
     return Class3("sl2")

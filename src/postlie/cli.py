@@ -59,11 +59,33 @@ class ParseError(Exception):
     pass
 
 
+class Falsified(Exception):
+    """A mathematical check failed; the message is the report line."""
+
+
 def _rational(token: str) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise ParseError(f"malformed rational {token!r}")
-    value = Fraction(token)
-    return value
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in rational {token!r}") from None
+
+
+def _index(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"malformed index {token!r}") from None
+
+
+def _dim(tokens: list[str], dim: int | None) -> int:
+    """Parse a dim line; a file has exactly one."""
+    if dim is not None:
+        raise ParseError("duplicate dim line")
+    if len(tokens) != 2 or not tokens[1].isdigit():
+        raise ParseError("bad dim line")
+    return int(tokens[1])
 
 
 def _content_lines(text: str) -> list[list[str]]:
@@ -83,9 +105,7 @@ def parse_algebra(text: str) -> LieAlgebra:
     for tokens in _content_lines(text):
         key = tokens[0]
         if key == "dim":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise ParseError("bad dim line")
-            dim = int(tokens[1])
+            dim = _dim(tokens, dim)
         elif key == "basis":
             labels = tuple(tokens[1:])
         elif key == "bracket":
@@ -93,14 +113,16 @@ def parse_algebra(text: str) -> LieAlgebra:
                 raise ParseError("bracket before dim")
             if len(tokens) < 6 or tokens[3] != ":" or len(tokens) % 2 != 0:
                 raise ParseError(f"bad bracket line {' '.join(tokens)!r}")
-            i, j = int(tokens[1]), int(tokens[2])
+            i, j = _index(tokens[1]), _index(tokens[2])
             if not (0 <= i < j < dim):
                 raise ParseError(f"bracket indices ({i},{j}) out of order or range")
             terms = []
             for k_tok, c_tok in zip(tokens[4::2], tokens[5::2]):
-                k = int(k_tok)
+                k = _index(k_tok)
                 if not (0 <= k < dim):
                     raise ParseError(f"bracket target index {k} out of range")
+                if any(k == seen for seen, _ in terms):
+                    raise ParseError(f"bracket target index {k} repeated")
                 terms.append((k, _rational(c_tok)))
             if (i, j) in sc:
                 raise ParseError(f"duplicate bracket line for pair ({i},{j})")
@@ -121,9 +143,7 @@ def parse_operator(text: str) -> tuple[int, Fraction, Matrix]:
     for tokens in _content_lines(text):
         key = tokens[0]
         if key == "dim":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise ParseError("bad dim line")
-            dim = int(tokens[1])
+            dim = _dim(tokens, dim)
         elif key == "weight":
             if len(tokens) != 2:
                 raise ParseError("bad weight line")
@@ -162,22 +182,30 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="ascii") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_algebra(path: str) -> LieAlgebra:
-    return parse_algebra(_read(path))
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_pair(alg_path: str, op_path: str) -> RBOperator:
-    L = _load_algebra(alg_path)
+def _load_verified(alg_path: str, op_path: str) -> RBOperator:
+    """Load an algebra and an operator on it; the RB identity must hold."""
+    L = parse_algebra(_read(alg_path))
     fail = jacobi_failure(L)
     if fail is not None:
         raise ParseError(f"algebra fails Jacobi at basis triple {fail}")
     dim, weight, m = parse_operator(_read(op_path))
     if dim != L.dim:
         raise ParseError("operator dimension does not match algebra")
+    fail = first_rb_failure(L, m, weight)
+    if fail is not None:
+        raise Falsified(f"RB identity fails at basis pair {fail}")
     return RBOperator(L, m, weight)
 
 
@@ -219,12 +247,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_rb_check(args) -> int:
-    op = _load_pair(args.algebra, args.operator)
-    fail = first_rb_failure(op.algebra, op.matrix, op.weight)
+    op = _load_verified(args.algebra, args.operator)
     pairs = op.algebra.dim * (op.algebra.dim - 1) // 2
-    if fail is not None:
-        print(f"RB identity fails at basis pair {fail}")
-        return EXIT_MATH
     print(f"RB identity holds ({pairs} basis pairs checked)")
     return EXIT_OK
 
@@ -241,25 +265,14 @@ def _weight_one(op: RBOperator) -> RBOperator:
 
 
 def cmd_rb_derive(args) -> int:
-    op = _load_pair(args.algebra, args.operator)
-    fail = first_rb_failure(op.algebra, op.matrix, op.weight)
-    if fail is not None:
-        print(f"RB identity fails at basis pair {fail}")
-        return EXIT_MATH
-    g = derived_bracket(_weight_one(op))
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(emit_algebra(g))
+    g = derived_bracket(_weight_one(_load_verified(args.algebra, args.operator)))
+    _write(args.out, emit_algebra(g))
     print(f"wrote derived bracket to {args.out}")
     return EXIT_OK
 
 
 def cmd_pa_check(args) -> int:
-    op = _load_pair(args.algebra, args.operator)
-    fail = first_rb_failure(op.algebra, op.matrix, op.weight)
-    if fail is not None:
-        print(f"RB identity fails at basis pair {fail}")
-        return EXIT_MATH
-    p = inner_pa_from_rb(_weight_one(op))
+    p = inner_pa_from_rb(_weight_one(_load_verified(args.algebra, args.operator)))
     bad = first_pa_failure(p)
     if bad is not None:
         axiom, where = bad
@@ -270,12 +283,7 @@ def cmd_pa_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    op = _load_pair(args.algebra, args.operator)
-    fail = first_rb_failure(op.algebra, op.matrix, op.weight)
-    if fail is not None:
-        print(f"RB identity fails at basis pair {fail}")
-        return EXIT_MATH
-    op = _weight_one(op)
+    op = _weight_one(_load_verified(args.algebra, args.operator))
     try:
         dec = triple_decomposition(op)
     except ArithmeticError as exc:
@@ -349,10 +357,8 @@ def cmd_catalog(args) -> int:
         op = ops[name]
         alg_path = f"{args.out}/{name}.alg"
         op_path = f"{args.out}/{name}.rbop"
-        with open(alg_path, "w", encoding="ascii") as fh:
-            fh.write(emit_algebra(op.algebra))
-        with open(op_path, "w", encoding="ascii") as fh:
-            fh.write(emit_operator(op))
+        _write(alg_path, emit_algebra(op.algebra))
+        _write(op_path, emit_operator(op))
         written = [alg_path, op_path]
     elif name in _BUILTIN_ALGEBRAS:
         try:
@@ -361,8 +367,7 @@ def cmd_catalog(args) -> int:
             print(f"cannot build {name}: {exc}")
             return EXIT_MATH
         alg_path = f"{args.out}/{name}.alg"
-        with open(alg_path, "w", encoding="ascii") as fh:
-            fh.write(emit_algebra(L))
+        _write(alg_path, emit_algebra(L))
         written = [alg_path]
     else:
         raise ParseError(f"unknown catalog entry {name!r}")
@@ -454,6 +459,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Falsified as exc:
+        print(exc)
+        return EXIT_MATH
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH

@@ -36,10 +36,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c, v: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in v)
@@ -167,21 +163,27 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        if self.det() == 0:
-            raise ValueError("matrix is singular")
         aug = [list(r) + list(unit_vector(n, i)) for i, r in enumerate(self.rows)]
-        reduced, _ = _rref_rows(aug)
+        reduced, rk = _rref_rows(aug, n)
+        if rk < n:
+            raise ValueError("matrix is singular")
         return Matrix(tuple(tuple(r[n:]) for r in reduced[:n]))
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.det() != 0
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
-    """In-place-style RREF on a list of row lists; returns (rows, rank)."""
+def _rref_rows(rows: list[list[Fraction]],
+               ncols: int | None = None) -> tuple[list[list[Fraction]], int]:
+    """In-place-style RREF on a list of row lists; returns (rows, rank).
+
+    Pivots are sought in the first ``ncols`` columns only (default: all), so
+    the rank is that of the left block; later columns are carried along.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
     piv_row = 0
     for col in range(ncols):
         piv = next((r for r in range(piv_row, nrows) if m[r][col] != 0), None)
@@ -277,10 +279,6 @@ def image(m: Matrix) -> Subspace:
     return Subspace.from_vectors(m.nrows, [m.column(j) for j in range(m.ncols)])
 
 
-def row_space(m: Matrix) -> Subspace:
-    return Subspace.from_vectors(m.ncols, m.rows)
-
-
 def _check_ambient(u: Subspace, v: Subspace) -> None:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -313,10 +311,6 @@ def contains(u: Subspace, x: Sequence) -> bool:
     if len(v) != u.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace.from_vectors(u.ambient_dim, list(u.basis) + [v]).dim == u.dim
-
-
-def contains_subspace(u: Subspace, v: Subspace) -> bool:
-    return all(contains(u, row) for row in v.basis)
 
 
 def is_direct_sum(parts: Sequence[Subspace]) -> bool:

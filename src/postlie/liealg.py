@@ -83,20 +83,25 @@ class LieAlgebra:
         return out
 
 
-def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
-    """Bilinear extension of the structure constants."""
+def bilinear(table: Sequence[Sequence[Vector]], x: Sequence, y: Sequence) -> Vector:
+    """sum_ij x_i y_j table[i][j]: the bilinear extension of a basis table."""
     xv, yv = vector(x), vector(y)
-    if len(xv) != L.dim or len(yv) != L.dim:
-        raise ValueError("dimension mismatch in bracket")
-    out = zero_vector(L.dim)
+    out = zero_vector(len(table))
     for i, xi in enumerate(xv):
         if xi == 0:
             continue
         for j, yj in enumerate(yv):
             if yj == 0:
                 continue
-            out = vec_add(out, vec_scale(xi * yj, L.table[i][j]))
+            out = vec_add(out, vec_scale(xi * yj, table[i][j]))
     return out
+
+
+def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
+    """Bilinear extension of the structure constants."""
+    if len(x) != L.dim or len(y) != L.dim:
+        raise ValueError("dimension mismatch in bracket")
+    return bilinear(L.table, x, y)
 
 
 def jacobi_failure(L: LieAlgebra) -> tuple[int, int, int] | None:
@@ -145,25 +150,33 @@ def bracket_span(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     return Subspace.from_vectors(L.dim, vecs)
 
 
-def subalgebra_closure(L: LieAlgebra, S: Subspace) -> bool:
+def brackets_within(L: LieAlgebra, A: Sequence[Sequence], B: Sequence[Sequence],
+                    S: Subspace) -> bool:
+    """[A, B] is contained in S, checked on the given spanning vectors."""
     if S.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    for a in S.basis:
-        for b in S.basis:
-            if not contains(S, bracket(L, a, b)):
-                return False
-    return True
+    return all(contains(S, bracket(L, a, b)) for a in A for b in B)
+
+
+def subalgebra_closure(L: LieAlgebra, S: Subspace) -> bool:
+    return brackets_within(L, S.basis, S.basis, S)
 
 
 def is_ideal(L: LieAlgebra, S: Subspace) -> bool:
-    if S.ambient_dim != L.dim:
-        raise ValueError("subspace ambient dimension mismatch")
-    for i in range(L.dim):
-        ei = unit_vector(L.dim, i)
-        for b in S.basis:
-            if not contains(S, bracket(L, ei, b)):
-                return False
-    return True
+    units = [unit_vector(L.dim, i) for i in range(L.dim)]
+    return brackets_within(L, units, S.basis, S)
+
+
+def first_hom_failure(phi: Matrix, g: LieAlgebra,
+                      h: LieAlgebra) -> tuple[int, int] | None:
+    """First basis pair (i, j), i < j, where phi [e_i, e_j]_g differs from
+    [phi e_i, phi e_j]_h, or None when phi preserves brackets."""
+    for i in range(g.dim):
+        ci = phi.column(i)
+        for j in range(i + 1, g.dim):
+            if phi.apply(g.table[i][j]) != bracket(h, ci, phi.column(j)):
+                return (i, j)
+    return None
 
 
 def _series(L: LieAlgebra, step) -> list[Subspace]:

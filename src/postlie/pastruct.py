@@ -14,29 +14,29 @@ derived bracket [x,y] = {R(x),y} - {R(y),x} + {x,y}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactla import (
     Matrix,
     Subspace,
     Vector,
-    contains,
     image,
     intersect,
     is_direct_sum,
     kernel,
     unit_vector,
     vec_add,
-    vec_scale,
-    vector,
-    zero_vector,
 )
 from .liealg import (
     Fingerprint,
     LieAlgebra,
+    bilinear,
     bracket,
+    brackets_within,
     check_jacobi,
+    derived_series,
     fingerprint,
+    first_hom_failure,
     is_ideal,
     is_solvable,
     restrict,
@@ -60,20 +60,13 @@ class PAProduct:
             raise ValueError("pair brackets must share one dimension")
 
     def product(self, x: Sequence, y: Sequence) -> Vector:
-        xv, yv = vector(x), vector(y)
-        out = zero_vector(self.n.dim)
-        for i, xi in enumerate(xv):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(yv):
-                if yj == 0:
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.coeffs[i][j]))
-        return out
+        return bilinear(self.coeffs, x, y)
 
 
-def first_pa_failure(p: PAProduct) -> tuple[str, tuple[int, ...]] | None:
-    """First failing axiom instance as (axiom name, basis indices), or None."""
+def _pa_failures(p: PAProduct) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every failing axiom instance as (axiom name, basis indices): the
+    difference axiom on pairs first, then per basis triple the representation
+    and the derivation axiom."""
     d = p.n.dim
     units = [unit_vector(d, i) for i in range(d)]
     for i in range(d):
@@ -81,7 +74,7 @@ def first_pa_failure(p: PAProduct) -> tuple[str, tuple[int, ...]] | None:
             lhs = tuple(a - b for a, b in zip(p.coeffs[i][j], p.coeffs[j][i]))
             rhs = tuple(a - b for a, b in zip(p.g.table[i][j], p.n.table[i][j]))
             if lhs != rhs:
-                return ("difference", (i, j))
+                yield ("difference", (i, j))
     for i in range(d):
         for j in range(d):
             for k in range(d):
@@ -90,13 +83,17 @@ def first_pa_failure(p: PAProduct) -> tuple[str, tuple[int, ...]] | None:
                     p.product(units[i], p.coeffs[j][k]),
                     p.product(units[j], p.coeffs[i][k])))
                 if lhs != rhs:
-                    return ("representation", (i, j, k))
+                    yield ("representation", (i, j, k))
                 lhs = p.product(units[i], p.n.table[j][k])
                 rhs = vec_add(bracket(p.n, p.coeffs[i][j], units[k]),
                               bracket(p.n, units[j], p.coeffs[i][k]))
                 if lhs != rhs:
-                    return ("derivation", (i, j, k))
-    return None
+                    yield ("derivation", (i, j, k))
+
+
+def first_pa_failure(p: PAProduct) -> tuple[str, tuple[int, ...]] | None:
+    """First failing axiom instance as (axiom name, basis indices), or None."""
+    return next(_pa_failures(p), None)
 
 
 def check_pa_axioms(p: PAProduct) -> bool:
@@ -105,17 +102,7 @@ def check_pa_axioms(p: PAProduct) -> bool:
 
 def left_multiplications_are_derivations(p: PAProduct) -> bool:
     """L(x){y,z} = {L(x)y, z} + {y, L(x)z} on all basis triples."""
-    d = p.n.dim
-    units = [unit_vector(d, i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = p.product(units[i], p.n.table[j][k])
-                rhs = vec_add(bracket(p.n, p.coeffs[i][j], units[k]),
-                              bracket(p.n, units[j], p.coeffs[i][k]))
-                if lhs != rhs:
-                    return False
-    return True
+    return all(axiom != "derivation" for axiom, _ in _pa_failures(p))
 
 
 def _require_weight_one(op: RBOperator) -> None:
@@ -125,12 +112,15 @@ def _require_weight_one(op: RBOperator) -> None:
 
 def is_lie_homomorphism(phi: Matrix, g: LieAlgebra, n: LieAlgebra) -> bool:
     """phi [x,y]_g = {phi x, phi y}_n on all basis pairs."""
-    for i in range(g.dim):
-        ci = phi.column(i)
-        for j in range(i + 1, g.dim):
-            if phi.apply(g.table[i][j]) != bracket(n, ci, phi.column(j)):
-                return False
-    return True
+    return first_hom_failure(phi, g, n) is None
+
+
+def _inner_coeffs(op: RBOperator) -> ProductTable:
+    """coeffs[i][j] = {R(e_i), e_j}, the inner product on basis pairs."""
+    n = op.algebra
+    units = [unit_vector(n.dim, i) for i in range(n.dim)]
+    return tuple(tuple(bracket(n, op.matrix.column(i), u) for u in units)
+                 for i in range(n.dim))
 
 
 def derived_bracket(op: RBOperator) -> LieAlgebra:
@@ -138,19 +128,9 @@ def derived_bracket(op: RBOperator) -> LieAlgebra:
     _require_weight_one(op)
     n = op.algebra
     d = n.dim
-    units = [unit_vector(d, i) for i in range(d)]
-    table = []
-    for i in range(d):
-        ri = op.matrix.column(i)
-        row = []
-        for j in range(d):
-            rj = op.matrix.column(j)
-            v = vec_add(
-                tuple(a - b for a, b in zip(bracket(n, ri, units[j]),
-                                            bracket(n, rj, units[i]))),
-                n.table[i][j])
-            row.append(v)
-        table.append(row)
+    c = _inner_coeffs(op)
+    table = [[vec_add(tuple(a - b for a, b in zip(c[i][j], c[j][i])), n.table[i][j])
+              for j in range(d)] for i in range(d)]
     g = LieAlgebra.from_table(d, table, n.basis_labels)
     if not check_jacobi(g):
         raise ArithmeticError("derived bracket fails Jacobi; operator is not RB")
@@ -162,14 +142,7 @@ def derived_bracket(op: RBOperator) -> LieAlgebra:
 
 def inner_pa_from_rb(op: RBOperator) -> PAProduct:
     """x.y = {R(x), y} together with the derived bracket as g."""
-    _require_weight_one(op)
-    n = op.algebra
-    d = n.dim
-    units = [unit_vector(d, i) for i in range(d)]
-    coeffs = tuple(
-        tuple(bracket(n, op.matrix.column(i), units[j]) for j in range(d))
-        for i in range(d))
-    return PAProduct(derived_bracket(op), n, coeffs)
+    return PAProduct(derived_bracket(op), op.algebra, _inner_coeffs(op))
 
 
 @dataclass(frozen=True)
@@ -181,24 +154,20 @@ class BracketTower:
 
 
 def bracket_tower(op: RBOperator, depth: int) -> BracketTower:
-    """[x,y]_{i+1} = [R(x),y]_i - [R(y),x]_i + [x,y]_i, checked level by level."""
+    """[x,y]_{i+1} = [R(x),y]_i - [R(y),x]_i + [x,y]_i, checked level by level.
+
+    Each level comes from ``derived_bracket``, which raises unless it is a Lie
+    bracket and R and R+id are homomorphisms from it to the level below.
+    """
     _require_weight_one(op)
     levels = [op.algebra]
-    d = op.algebra.dim
-    rid = op.matrix + Matrix.identity(d)
     for _ in range(depth):
-        cur = levels[-1]
-        nxt = derived_bracket(RBOperator(cur, op.matrix, op.weight))
-        if not (is_lie_homomorphism(op.matrix, nxt, cur)
-                and is_lie_homomorphism(rid, nxt, cur)):
-            raise ArithmeticError("tower homomorphism check failed")
-        levels.append(nxt)
+        levels.append(derived_bracket(RBOperator(levels[-1], op.matrix, op.weight)))
     return BracketTower(op, tuple(levels))
 
 
 def derived_dim_inequality(op: RBOperator, depth: int) -> bool:
     """dim g^(i) <= dim n^(i) for i = 1..depth."""
-    from .liealg import derived_series
     g = derived_bracket(op)
     n = op.algebra
 
@@ -259,10 +228,8 @@ def triple_decomposition_report(op: RBOperator,
     out = {
         "direct_sum": is_direct_sum([dec.n1, dec.n2, dec.n3])
                       and dec.n1.dim + dec.n2.dim + dec.n3.dim == n.dim,
-        "n1_n3_in_n1": all(contains(dec.n1, bracket(n, a, b))
-                           for a in dec.n1.basis for b in dec.n3.basis),
-        "n2_n3_in_n2": all(contains(dec.n2, bracket(n, a, b))
-                           for a in dec.n2.basis for b in dec.n3.basis),
+        "n1_n3_in_n1": brackets_within(n, dec.n1.basis, dec.n3.basis, dec.n1),
+        "n2_n3_in_n2": brackets_within(n, dec.n2.basis, dec.n3.basis, dec.n2),
     }
     out["n3_subalgebra"] = subalgebra_closure(n, dec.n3)
     out["n3_solvable"] = out["n3_subalgebra"] and is_solvable(restrict(n, dec.n3))

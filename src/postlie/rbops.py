@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .classify import is_lie_isomorphism
 from .exactla import (
     Matrix,
     Subspace,
-    contains,
     is_direct_sum,
     subspace_sum,
     unit_vector,
@@ -24,7 +24,14 @@ from .exactla import (
     vec_scale,
     zero_vector,
 )
-from .liealg import LieAlgebra, bracket, direct_sum, restrict, subalgebra_closure
+from .liealg import (
+    LieAlgebra,
+    bracket,
+    brackets_within,
+    direct_sum,
+    restrict,
+    subalgebra_closure,
+)
 
 
 @dataclass(frozen=True)
@@ -86,16 +93,7 @@ def rescale_to_weight_one(op: RBOperator) -> RBOperator:
 
 
 def is_lie_automorphism(n: LieAlgebra, psi: Matrix) -> bool:
-    if psi.nrows != n.dim or psi.ncols != n.dim:
-        return False
-    if not psi.is_invertible():
-        return False
-    for i in range(n.dim):
-        ci = psi.column(i)
-        for j in range(i + 1, n.dim):
-            if psi.apply(n.table[i][j]) != bracket(n, ci, psi.column(j)):
-                return False
-    return True
+    return psi.nrows == psi.ncols == n.dim and is_lie_isomorphism(psi, n, n)
 
 
 def conjugate(op: RBOperator, psi: Matrix) -> RBOperator:
@@ -199,14 +197,10 @@ def triangular_split(n: LieAlgebra, spec: TriangularSplitSpec, lam) -> RBOperato
         return out
 
     ident0 = Matrix.identity(a_0.dim)
-    for v in span_image(spec.r_zero + ident0):
-        for w in a_m.basis:
-            if not contains(a_m, bracket(n, v, w)):
-                raise ValueError("a_minus is not a module over (r_zero + id)(a_zero)")
-    for v in span_image(spec.r_zero):
-        for w in a_p.basis:
-            if not contains(a_p, bracket(n, v, w)):
-                raise ValueError("a_plus is not a module over r_zero(a_zero)")
+    if not brackets_within(n, span_image(spec.r_zero + ident0), a_m.basis, a_m):
+        raise ValueError("a_minus is not a module over (r_zero + id)(a_zero)")
+    if not brackets_within(n, span_image(spec.r_zero), a_p.basis, a_p):
+        raise ValueError("a_plus is not a module over r_zero(a_zero)")
 
     cols = list(a_m.basis) + list(a_0.basis) + list(a_p.basis)
     P = Matrix.from_columns(cols)

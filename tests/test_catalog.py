@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from postlie.catalog import (
     SUBALGEBRA_ROWS,
     ConstraintError,
+    Witness,
     automorphisms_for,
     catalog_operators,
     example216_matrix,
@@ -19,7 +21,7 @@ from postlie.catalog import (
     witnesses,
 )
 from postlie.classify import classify3
-from postlie.exactla import Subspace, unit_vector, vector
+from postlie.exactla import Matrix, Subspace, unit_vector, vector
 from postlie.liealg import (
     bracket,
     check_jacobi,
@@ -32,6 +34,7 @@ from postlie.liealg import (
 )
 from postlie.pastruct import derived_bracket
 from postlie.rbops import (
+    RBOperator,
     enumerate_split_operators,
     is_lie_automorphism,
     is_rb_operator,
@@ -251,3 +254,37 @@ def test_no_split_yields_unimodular_type3_pair():
     assert ops
     for op in ops:
         assert fingerprint(derived_bracket(op)) != fp
+
+
+CORE_STEPS = ("rb_identity", "derived_bracket_jacobi", "kernel_ideals_depth2",
+              "derived_dim_inequality_depth6", "triple_decomposition",
+              "fingerprint_match")
+
+
+def failing_steps(w):
+    return [name for name, ok in verify_witness(w).steps if not ok]
+
+
+def test_verify_witness_non_rb_operator_fails_every_step():
+    # 2*id is not RB of weight 1 on sl2 + sl2 (t*id is RB iff t^2 + t = 0).
+    op = RBOperator(N6, Matrix.identity(6).scale(2), F(1))
+    report = verify_witness(Witness("two-id", op, "1", make_type(1)))
+    assert report.steps == tuple((name, False) for name in CORE_STEPS)
+
+
+def test_verify_witness_step_names_depend_only_on_iso():
+    # A failing operator that carries an iso still reports the iso step.
+    op = RBOperator(N6, Matrix.identity(6).scale(2), F(1))
+    w = Witness("two-id", op, "1", make_type(1), iso=Matrix.identity(6))
+    assert verify_witness(w).steps == tuple(
+        (name, False) for name in CORE_STEPS + ("explicit_isomorphism",))
+
+
+def test_verify_witness_wrong_target_fails_only_the_fingerprint():
+    w = next(w for w in witnesses() if w.name == "type1-zero")
+    assert failing_steps(replace(w, target=make_type(4))) == ["fingerprint_match"]
+
+
+def test_verify_witness_wrong_iso_fails_only_the_iso_step():
+    w = next(w for w in witnesses() if w.name == "type5-case2c")
+    assert failing_steps(replace(w, iso=Matrix.identity(6))) == ["explicit_isomorphism"]

@@ -180,3 +180,51 @@ def test_verify_thm41_all(capsys):
     out = capsys.readouterr().out
     assert "result: all witnesses pass (8 types)" in out
     assert "FAIL" not in out
+
+
+MALFORMED_ALGEBRAS = {
+    "non-integer-i": "dim 3\nbracket a 1 : 2 1\n",
+    "non-integer-j": "dim 3\nbracket 0 b : 2 1\n",
+    "non-integer-k": "dim 3\nbracket 0 1 : c 1\n",
+    "zero-denominator": "dim 3\nbracket 0 1 : 2 1/0\n",
+    "repeated-dim": "dim 3\nbracket 0 2 : 1 1\ndim 2\n",
+    "repeated-target": "dim 3\nbracket 0 1 : 2 1 2 1\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_ALGEBRAS.values(), ids=MALFORMED_ALGEBRAS.keys())
+def test_malformed_algebra_exits_2(tmp_path, capsys, text):
+    alg = write(tmp_path / "bad.alg", text)
+    assert cli.main(["check", alg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_non_ascii_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("dim 3\nbasis \u03b1 b c\nbracket 0 1 : 2 1\n", encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_repeated_dim_in_operator_exits_2(tmp_path, capsys):
+    alg = write(tmp_path / "a.alg", "dim 2\n")
+    rbop = write(tmp_path / "r.rbop",
+                 "dim 2\nweight 1\nrow 1 0\ndim 3\nrow 1 0 0\nrow 0 1 0\n")
+    assert cli.main(["rb-check", alg, rbop]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_derived_output_exits_2(tmp_path, capsys):
+    alg = write(tmp_path / "sl2.alg", emit_algebra(make_table1("sl2")))
+    rbop = write(tmp_path / "zero.rbop", "dim 3\nweight 1\n" + "row 0 0 0\n" * 3)
+    out = tmp_path / "no-such-dir" / "out.alg"
+    assert cli.main(["rb-derive", alg, rbop, str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_catalog_output_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing-dir")
+    assert cli.main(["catalog", "emit", "type4-case2a", "--out", missing]) == 2
+    assert cli.main(["catalog", "emit", "sl2", "--out", missing]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2

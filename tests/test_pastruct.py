@@ -4,7 +4,13 @@ import pytest
 
 from postlie.catalog import make_sl2, make_sl2sl2, witnesses
 from postlie.exactla import Matrix, Subspace, kernel, unit_vector
-from postlie.liealg import derived_series, fingerprint, is_ideal, restrict
+from postlie.liealg import (
+    derived_series,
+    fingerprint,
+    first_hom_failure,
+    is_ideal,
+    restrict,
+)
 from postlie.pastruct import (
     PAProduct,
     bracket_tower,
@@ -181,3 +187,20 @@ def test_kernel_dichotomy():
     assert rep.consistent
     assert rep.dim_ker_r == 3 and rep.dim_ker_r_id == 0
     assert not rep.n_solvable
+
+
+def test_first_hom_failure_names_the_first_pair():
+    # 2 [X1, Y1] = 2 H1 but [2 X1, 2 Y1] = 4 H1.
+    assert first_hom_failure(Matrix.identity(6).scale(2), N6, N6) == (0, 1)
+    assert first_hom_failure(Matrix.identity(6), N6, N6) is None
+
+
+def test_corrupted_product_breaks_the_derivation_axiom():
+    p = inner_pa_from_rb(case2a_operator())
+    assert left_multiplications_are_derivations(p)
+    coeffs = [list(row) for row in p.coeffs]
+    bumped = list(coeffs[0][1])
+    bumped[0] += 1
+    coeffs[0][1] = tuple(bumped)
+    broken = PAProduct(p.g, p.n, tuple(tuple(row) for row in coeffs))
+    assert not left_multiplications_are_derivations(broken)
