@@ -15,17 +15,20 @@ Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 
+ZERO = Fraction(0)
+
+
 def rat(x) -> Fraction:
-    """Coerce ints, strings like ``-3/7`` and Fractions to Fraction."""
-    return Fraction(x)
+    """Coerce ints and strings like ``-3/7`` to Fraction; Fractions pass as is."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def vector(coords: Iterable) -> Vector:
-    return tuple(Fraction(c) for c in coords)
+    return tuple(map(rat, coords))
 
 
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (ZERO,) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:
@@ -71,7 +74,7 @@ class Matrix:
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix(tuple((Fraction(0),) * ncols for _ in range(nrows)))
+        return Matrix(((ZERO,) * ncols,) * nrows)
 
     @property
     def nrows(self) -> int:
@@ -99,8 +102,8 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum((r[c] * v[c] for c in range(self.ncols)), Fraction(0))
-                     for r in self.rows)
+        terms = [(c, x) for c, x in enumerate(v) if x]
+        return tuple(sum((r[c] * x for c, x in terms if r[c]), ZERO) for r in self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -114,10 +117,16 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        cols = other.transpose().rows
-        return Matrix(tuple(
-            tuple(sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols)
-            for r in self.rows))
+        out = []
+        for r in self.rows:
+            acc = [ZERO] * other.ncols
+            for a, orow in zip(r, other.rows):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix(tuple(out))
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
@@ -134,7 +143,7 @@ class Matrix:
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace of non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
+        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
 
     def det(self) -> Fraction:
         if not self.is_square():
@@ -307,10 +316,9 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def contains(u: Subspace, x: Sequence) -> bool:
-    v = vector(x)
-    if len(v) != u.ambient_dim:
+    if len(x) != u.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.from_vectors(u.ambient_dim, list(u.basis) + [v]).dim == u.dim
+    return coordinates(u, x) is not None
 
 
 def is_direct_sum(parts: Sequence[Subspace]) -> bool:
@@ -324,13 +332,21 @@ def is_direct_sum(parts: Sequence[Subspace]) -> bool:
 
 
 def coordinates(u: Subspace, x: Sequence) -> Vector | None:
-    """Coordinates of x in u's RREF basis, or None if x is outside u."""
+    """Coordinates of x in u's RREF basis, or None if x is outside u.
+
+    The RREF basis has a leading one at each pivot and zeros above and below
+    it, so the coordinates are x read at the pivots; x is in u iff they
+    rebuild it.
+    """
     v = vector(x)
     coords = tuple(v[p] for p in u.pivots())
-    rebuilt = zero_vector(u.ambient_dim)
+    rebuilt = [ZERO] * u.ambient_dim
     for c, row in zip(coords, u.basis):
-        rebuilt = vec_add(rebuilt, vec_scale(c, row))
-    return coords if rebuilt == v else None
+        if c:
+            for k, b in enumerate(row):
+                if b:
+                    rebuilt[k] += c * b
+    return coords if tuple(rebuilt) == v else None
 
 
 def char_poly(m: Matrix) -> tuple[Fraction, ...]:

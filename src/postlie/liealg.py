@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactla import (
+    ZERO,
     Matrix,
     Subspace,
     Vector,
@@ -15,9 +16,9 @@ from .exactla import (
     is_zero_vector,
     kernel,
     rank,
+    rat,
     unit_vector,
     vec_add,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -84,17 +85,24 @@ class LieAlgebra:
 
 
 def bilinear(table: Sequence[Sequence[Vector]], x: Sequence, y: Sequence) -> Vector:
-    """sum_ij x_i y_j table[i][j]: the bilinear extension of a basis table."""
-    xv, yv = vector(x), vector(y)
-    out = zero_vector(len(table))
-    for i, xi in enumerate(xv):
-        if xi == 0:
+    """sum_ij x_i y_j table[i][j]: the bilinear extension of a basis table.
+
+    Zero coordinates and zero table entries are skipped.
+    """
+    ys = [(j, yj) for j, yj in enumerate(map(rat, y)) if yj]
+    out = [ZERO] * len(table)
+    for i, xi in enumerate(map(rat, x)):
+        if not xi:
             continue
-        for j, yj in enumerate(yv):
-            if yj == 0:
-                continue
-            out = vec_add(out, vec_scale(xi * yj, table[i][j]))
-    return out
+        row = table[i]
+        for j, yj in ys:
+            coeff = None
+            for k, t in enumerate(row[j]):
+                if t:
+                    if coeff is None:
+                        coeff = xi * yj
+                    out[k] += coeff * t
+    return tuple(out)
 
 
 def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
@@ -210,9 +218,24 @@ def center(L: LieAlgebra) -> Subspace:
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
-    ads = [ad_matrix(L, unit_vector(L.dim, i)) for i in range(L.dim)]
-    return Matrix.from_rows([[(ads[i] * ads[j]).trace() for j in range(L.dim)]
-                             for i in range(L.dim)])
+    """K_ij = tr(ad e_i ad e_j) = sum_{k,l} c_ik^l c_jl^k, read off the table.
+
+    Only the nonzero c_ik^l are visited, and only the upper triangle is
+    computed: K is symmetric.
+    """
+    d, t = L.dim, L.table
+    nonzero = [[(k, l, c) for k in range(d) for l, c in enumerate(t[i][k]) if c]
+               for i in range(d)]
+    K = [[ZERO] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            tj = t[j]
+            s = ZERO
+            for k, l, c in nonzero[i]:
+                if tj[l][k]:
+                    s += c * tj[l][k]
+            K[i][j] = K[j][i] = s
+    return Matrix(tuple(map(tuple, K)))
 
 
 def killing_rank(L: LieAlgebra) -> int:
@@ -225,7 +248,8 @@ def is_semisimple(L: LieAlgebra) -> bool:
 
 
 def is_unimodular(L: LieAlgebra) -> bool:
-    return all(ad_matrix(L, unit_vector(L.dim, i)).trace() == 0 for i in range(L.dim))
+    """tr ad e_i = sum_k c_ik^k vanishes for every i."""
+    return all(sum(L.table[i][k][k] for k in range(L.dim)) == 0 for i in range(L.dim))
 
 
 def is_solvable(L: LieAlgebra) -> bool:
@@ -267,9 +291,13 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
 
 def change_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
     """Transport structure constants to the basis f_i = P e_i (columns of P)."""
-    if not P.is_invertible() or P.nrows != L.dim:
-        raise ValueError("basis change must be an invertible dim x dim matrix")
-    inv = P.inverse()
+    message = "basis change must be an invertible dim x dim matrix"
+    if P.nrows != L.dim or P.ncols != L.dim:
+        raise ValueError(message)
+    try:
+        inv = P.inverse()
+    except ValueError:
+        raise ValueError(message) from None
     table = []
     for i in range(L.dim):
         fi = P.column(i)

@@ -185,15 +185,15 @@ def kernel_ideal_checks(op: RBOperator, depth: int) -> bool:
     _require_weight_one(op)
     d = op.algebra.dim
     tower = bracket_tower(op, depth)
-    rid = op.matrix + Matrix.identity(d)
-    for j in range(1, depth + 1):
-        gj = tower.levels[j]
-        for i in range(1, j + 1):
-            if not is_ideal(gj, kernel(op.matrix.power(i))):
-                return False
-            if not is_ideal(gj, kernel(rid.power(i))):
-                return False
-    return True
+    r, rid = op.matrix, op.matrix + Matrix.identity(d)
+    kernels = []  # kernels[i - 1] = (ker R^i, ker (R+id)^i)
+    r_pow, rid_pow = r, rid
+    for i in range(1, depth + 1):
+        if i > 1:
+            r_pow, rid_pow = r_pow * r, rid_pow * rid
+        kernels.append((kernel(r_pow), kernel(rid_pow)))
+    return all(is_ideal(tower.levels[j], ker)
+               for j in range(1, depth + 1) for pair in kernels[:j] for ker in pair)
 
 
 @dataclass(frozen=True)
@@ -222,18 +222,23 @@ def triple_decomposition(op: RBOperator) -> TripleDecomposition:
     return dec
 
 
+TRIPLE_INVARIANTS = ("direct_sum", "n1_n3_in_n1", "n2_n3_in_n2", "n3_subalgebra",
+                     "n3_solvable")
+
+
 def triple_decomposition_report(op: RBOperator,
                                 dec: TripleDecomposition) -> dict[str, bool]:
+    """Each of ``TRIPLE_INVARIANTS``, in that order, with whether it holds."""
     n = op.algebra
-    out = {
-        "direct_sum": is_direct_sum([dec.n1, dec.n2, dec.n3])
-                      and dec.n1.dim + dec.n2.dim + dec.n3.dim == n.dim,
-        "n1_n3_in_n1": brackets_within(n, dec.n1.basis, dec.n3.basis, dec.n1),
-        "n2_n3_in_n2": brackets_within(n, dec.n2.basis, dec.n3.basis, dec.n2),
-    }
-    out["n3_subalgebra"] = subalgebra_closure(n, dec.n3)
-    out["n3_solvable"] = out["n3_subalgebra"] and is_solvable(restrict(n, dec.n3))
-    return out
+    values = [
+        is_direct_sum([dec.n1, dec.n2, dec.n3])
+        and dec.n1.dim + dec.n2.dim + dec.n3.dim == n.dim,
+        brackets_within(n, dec.n1.basis, dec.n3.basis, dec.n1),
+        brackets_within(n, dec.n2.basis, dec.n3.basis, dec.n2),
+        subalgebra_closure(n, dec.n3),
+    ]
+    values.append(values[-1] and is_solvable(restrict(n, dec.n3)))
+    return dict(zip(TRIPLE_INVARIANTS, values, strict=True))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from postlie import cli
+from postlie import cli, pastruct
 from postlie.catalog import catalog_operators, make_sl2sl2, make_table1
 from postlie.cli import (
     ParseError,
@@ -228,3 +228,66 @@ def test_unwritable_catalog_output_exits_2(tmp_path, capsys):
     assert cli.main(["catalog", "emit", "type4-case2a", "--out", missing]) == 2
     assert cli.main(["catalog", "emit", "sl2", "--out", missing]) == 2
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_decompose_runs_the_triple_report_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    report = pastruct.triple_decomposition_report
+
+    def counted(*args):
+        calls.append(args)
+        return report(*args)
+
+    monkeypatch.setattr(pastruct, "triple_decomposition_report", counted)
+    alg, rbop = emit_pair(tmp_path, "type5-case2c")
+    assert cli.main(["decompose", alg, rbop]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "n1 dim 3\nn2 dim 2\nn3 dim 1\ndirect_sum ok\nn1_n3_in_n1 ok\n"
+        "n2_n3_in_n2 ok\nn3_subalgebra ok\nn3_solvable ok\n")
+
+
+BUILTIN_PARAMS = {
+    "sl2": {}, "sl2sl2": {}, "abelian": {}, "n3": {}, "r2_plus_C": {}, "r3": {},
+    "r3_lambda": {"lam": "2"}, "type1": {}, "type2": {"lam": "2"},
+    "type3": {"lam": "2", "mu": "3"}, "type4": {},
+    "type5": {"alpha": "2", "beta": "3"}, "type6": {"lam": "2", "alpha": "3"},
+    "type7": {"lam": "2", "alpha1": "3", "alpha2": "5"},
+    "type8a": {"alpha1": "2", "alpha2": "3", "alpha4": "5", "alpha7": "7"},
+    "type8b": {"alpha1": "2", "alpha2": "3", "alpha3": "5"},
+}
+
+
+def param_args(params):
+    return [arg for k, v in params.items() for arg in ("--param", f"{k}={v}")]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PARAMS))
+def test_catalog_emit_accepts_exactly_its_param_keys(tmp_path, capsys, name):
+    params = BUILTIN_PARAMS[name]
+    out = str(tmp_path)
+    assert cli.main(["catalog", "emit", name, *param_args(params), "--out", out]) == 0
+    assert (tmp_path / f"{name}.alg").exists()
+    (tmp_path / f"{name}.alg").unlink()
+    capsys.readouterr()
+    extra = param_args({**params, "nonsense": "3"})
+    assert cli.main(["catalog", "emit", name, *extra, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown --param key 'nonsense' for {name} "
+                            f"(accepted: {', '.join(params) or 'none'})\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_catalog_emit_param_on_operator_exits_2(tmp_path, capsys):
+    assert cli.main(["catalog", "emit", "type5-case2c", "--param", "lam=2",
+                     "--out", str(tmp_path)]) == 2
+    assert "error: unknown --param key 'lam'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_catalog_emit_missing_param_exits_1(tmp_path, capsys):
+    assert cli.main(["catalog", "emit", "type3", "--param", "lam=2",
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith("cannot build type3:")
+    assert not list(tmp_path.iterdir())

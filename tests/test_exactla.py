@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postlie.exactla import (
     Matrix,
@@ -169,3 +171,30 @@ def test_subspace_equality_is_canonical():
     a = Subspace.from_vectors(3, [(1, 1, 0), (0, 2, 0)])
     b = Subspace.from_vectors(3, [(3, 0, 0), (1, 5, 0)])
     assert a == b
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def subspace_and_vector(draw):
+    """A random subspace of Q^n and a vector that is often, not always, in it."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(small_rationals, min_size=n, max_size=n)
+    spanning = draw(st.lists(vec, max_size=3))
+    S = Subspace.from_vectors(n, spanning)
+    x = [F(0)] * n
+    for row in S.basis:
+        c = draw(small_rationals)
+        x = [a + c * b for a, b in zip(x, row)]
+    if draw(st.booleans()):
+        x = [a + b for a, b in zip(x, draw(vec))]
+    return S, tuple(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_and_vector())
+def test_contains_matches_rank_test(case):
+    S, x = case
+    assert contains(S, x) == (Subspace.from_vectors(S.ambient_dim, S.basis + (x,)).dim
+                              == S.dim)

@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from postlie.catalog import make_sl2, make_sl2sl2, make_table1, make_type
+from postlie.catalog import make_sl2, make_sl2sl2, make_table1, make_type, witnesses
 from postlie.exactla import Matrix, Subspace, unit_vector, vector
 from postlie.liealg import (
     LieAlgebra,
     ad_matrix,
+    bilinear,
     bracket,
     center,
     change_basis,
@@ -27,6 +28,7 @@ from postlie.liealg import (
     restrict,
     subalgebra_closure,
 )
+from postlie.pastruct import derived_bracket
 
 R2 = LieAlgebra.from_brackets(2, {(0, 1): [(1, 1)]})
 
@@ -198,3 +200,67 @@ def test_solvable_nilpotent_flags():
     assert is_solvable(make_table1("r3"))
     assert not is_nilpotent(make_table1("r3"))
     assert not is_solvable(make_sl2())
+
+
+def det2_basis(rng, n):
+    """Integer basis of determinant +-2: (unit lower)(upper with one diagonal 2),
+    columns shuffled."""
+    two = rng.randrange(n)
+    lower = Matrix.from_rows([[1 if r == c else rng.randint(-1, 1) if r > c else 0
+                               for c in range(n)] for r in range(n)])
+    upper = Matrix.from_rows([[(2 if r == two else 1) if r == c
+                               else rng.randint(-1, 1) if c > r else 0
+                               for c in range(n)] for r in range(n)])
+    cols = list((lower * upper).transpose().rows)
+    rng.shuffle(cols)
+    return Matrix.from_columns(cols)
+
+
+def definition_algebras():
+    """Every witness's n, derived bracket and target, the six 3-dim classes,
+    and each of them moved to a seeded det +-2 basis."""
+    rng = random.Random(2024)
+    algs = {}
+    for w in witnesses():
+        for L in (w.operator.algebra, derived_bracket(w.operator), w.target):
+            algs[L] = None
+    for tag in ("abelian", "n3", "r2_plus_C", "r3", "sl2"):
+        algs[make_table1(tag)] = None
+    algs[make_table1("r3_lambda", F(-2, 3))] = None
+    base = list(algs)
+    for L in base:
+        P = det2_basis(rng, L.dim)
+        assert abs(P.det()) == 2
+        algs[change_basis(L, P)] = None
+    return list(algs)
+
+
+def test_killing_form_and_unimodularity_match_ad_definition():
+    for L in definition_algebras():
+        ads = [ad_matrix(L, unit_vector(L.dim, i)) for i in range(L.dim)]
+        assert killing_form(L) == Matrix.from_rows(
+            [[(a * b).trace() for b in ads] for a in ads])
+        assert is_unimodular(L) == all(a.trace() == 0 for a in ads)
+
+
+def test_bilinear_and_bracket_accept_int_fraction_and_string_coordinates():
+    n = make_sl2sl2()
+    x, y = [1, 0, -2, 3, 0, 1], [0, 2, 1, -1, 4, 0]
+    inputs = (
+        (x, y),
+        ([F(c) for c in x], [F(c) for c in y]),
+        (["1", "0/5", "-4/2", "3", "0", "2/2"], ["0", "2", "1", "-1", "8/2", "0"]),
+    )
+    results = [r for a, b in inputs for r in (bilinear(n.table, a, b), bracket(n, a, b))]
+    assert all(r == results[0] for r in results)
+    assert all(type(r) is tuple and all(type(c) is F for c in r) for r in results)
+    assert any(results[0])
+
+
+def test_change_basis_rejects_singular_and_wrong_shape():
+    n = make_sl2()
+    message = "basis change must be an invertible dim x dim matrix"
+    singular = Matrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    for P in (singular, Matrix.identity(2), Matrix.from_rows([[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(ValueError, match=message):
+            change_basis(n, P)
