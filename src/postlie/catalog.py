@@ -15,7 +15,7 @@ from .classify import fingerprint_equal, is_lie_isomorphism
 from .exactla import Matrix, Subspace, Vector, coordinates
 from .liealg import LieAlgebra, direct_sum
 from .pastruct import (
-    derived_bracket,
+    bracket_tower,
     derived_dim_inequality,
     kernel_ideal_checks,
     triple_decomposition,
@@ -626,22 +626,26 @@ def _holds(check) -> bool:
 def verify_witness(w: Witness) -> WitnessReport:
     """Run the full certification pipeline for one witness.
 
-    ``derived_bracket`` raises unless g satisfies Jacobi and R, R+id are
-    homomorphisms g -> n; ``triple_decomposition`` raises unless every
-    invariant holds. Every step after the first two needs g, so when the RB
-    identity or g fails they are reported False without running.
+    One ``bracket_tower(op, 2)`` per witness gives n, g and g_2 to every
+    step. Each level comes from ``derived_bracket``, which raises unless it
+    satisfies Jacobi and R, R+id are homomorphisms to the level below; an RB
+    operator on n is RB on g, so level 2 exists whenever g does.
+    ``triple_decomposition`` raises unless every invariant holds. Every step
+    after the first two needs the tower, so when the RB identity or g fails
+    they are reported False without running.
     """
     op = w.operator
     rb = is_rb_operator(op.algebra, op.matrix, op.weight)
-    g = None
+    tower = None
     if rb:
         try:
-            g = derived_bracket(op)
+            tower = bracket_tower(op, 2)
         except ArithmeticError:
             pass
+    g = tower.levels[1] if tower is not None else None
     checks = [
-        ("kernel_ideals_depth2", lambda: kernel_ideal_checks(op, 2)),
-        ("derived_dim_inequality_depth6", lambda: derived_dim_inequality(op, 6)),
+        ("kernel_ideals_depth2", lambda: kernel_ideal_checks(tower)),
+        ("derived_dim_inequality_depth6", lambda: derived_dim_inequality(tower, 6)),
         ("triple_decomposition", lambda: triple_decomposition(op) is not None),
         ("fingerprint_match", lambda: fingerprint_equal(g, w.target)),
     ]

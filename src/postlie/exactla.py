@@ -266,12 +266,7 @@ def kernel(m: Matrix) -> Subspace:
     """Canonical basis of {v : Mv = 0}."""
     reduced, rk = rref(m)
     ncols = m.ncols
-    pivots = []
-    col = 0
-    for r in range(rk):
-        while reduced.rows[r][col] == 0:
-            col += 1
-        pivots.append(col)
+    pivots = Subspace(ncols, reduced.rows[:rk]).pivots()
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -300,13 +295,8 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     # Solve a*U = b*V: kernel of the (n x (du+dv)) matrix [U^T | -V^T].
     cols = [list(row) for row in u.basis] + [[-x for x in row] for row in v.basis]
     m = Matrix.from_columns(cols)
-    combos = kernel(m)
-    vectors = []
-    for c in combos.basis:
-        vec = zero_vector(u.ambient_dim)
-        for coeff, row in zip(c[: u.dim], u.basis):
-            vec = vec_add(vec, vec_scale(coeff, row))
-        vectors.append(vec)
+    u_cols = Matrix.from_columns(u.basis)
+    vectors = [u_cols.apply(c[: u.dim]) for c in kernel(m).basis]
     return Subspace.from_vectors(u.ambient_dim, vectors)
 
 

@@ -89,6 +89,8 @@ def bilinear(table: Sequence[Sequence[Vector]], x: Sequence, y: Sequence) -> Vec
 
     Zero coordinates and zero table entries are skipped.
     """
+    if len(x) != len(table) or len(y) != len(table):
+        raise ValueError("dimension mismatch in bracket")
     ys = [(j, yj) for j, yj in enumerate(map(rat, y)) if yj]
     out = [ZERO] * len(table)
     for i, xi in enumerate(map(rat, x)):
@@ -107,8 +109,6 @@ def bilinear(table: Sequence[Sequence[Vector]], x: Sequence, y: Sequence) -> Vec
 
 def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     """Bilinear extension of the structure constants."""
-    if len(x) != L.dim or len(y) != L.dim:
-        raise ValueError("dimension mismatch in bracket")
     return bilinear(L.table, x, y)
 
 

@@ -166,10 +166,8 @@ def bracket_tower(op: RBOperator, depth: int) -> BracketTower:
     return BracketTower(op, tuple(levels))
 
 
-def derived_dim_inequality(op: RBOperator, depth: int) -> bool:
-    """dim g^(i) <= dim n^(i) for i = 1..depth."""
-    g = derived_bracket(op)
-    n = op.algebra
+def derived_dim_inequality(tower: BracketTower, depth: int) -> bool:
+    """dim g^(i) <= dim n^(i) for i = 1..depth, with n = levels[0], g = levels[1]."""
 
     def dims(L: LieAlgebra) -> list[int]:
         ds = [s.dim for s in derived_series(L)]
@@ -177,15 +175,15 @@ def derived_dim_inequality(op: RBOperator, depth: int) -> bool:
             ds.append(ds[-1])
         return ds[:depth]
 
-    return all(a <= b for a, b in zip(dims(g), dims(n)))
+    return all(a <= b for a, b in zip(dims(tower.levels[1]), dims(tower.levels[0])))
 
 
-def kernel_ideal_checks(op: RBOperator, depth: int) -> bool:
-    """ker(R^i) and ker((R+id)^i) are ideals in g_j for all 1 <= i <= j <= depth."""
-    _require_weight_one(op)
-    d = op.algebra.dim
-    tower = bracket_tower(op, depth)
-    r, rid = op.matrix, op.matrix + Matrix.identity(d)
+def kernel_ideal_checks(tower: BracketTower) -> bool:
+    """ker(R^i) and ker((R+id)^i) are ideals in g_j for all 1 <= i <= j <= depth,
+    where depth = len(levels) - 1."""
+    depth = len(tower.levels) - 1
+    r = tower.operator.matrix
+    rid = r + Matrix.identity(r.nrows)
     kernels = []  # kernels[i - 1] = (ker R^i, ker (R+id)^i)
     r_pow, rid_pow = r, rid
     for i in range(1, depth + 1):

@@ -22,7 +22,6 @@ from .exactla import (
     unit_vector,
     vec_add,
     vec_scale,
-    zero_vector,
 )
 from .liealg import (
     LieAlgebra,
@@ -104,18 +103,10 @@ def conjugate(op: RBOperator, psi: Matrix) -> RBOperator:
 
 
 def split_operator(n: LieAlgebra, A1: Subspace, A2: Subspace, lam) -> RBOperator:
-    """R(a1 + a2) = -lam a2 for a direct decomposition into subalgebras A1, A2."""
-    lam = Fraction(lam)
-    if not subalgebra_closure(n, A1) or not subalgebra_closure(n, A2):
-        raise ValueError("split parts must be subalgebras")
-    if not is_direct_sum([A1, A2]) or A1.dim + A2.dim != n.dim:
-        raise ValueError("split parts must decompose the algebra as a direct sum")
-    cols = list(A1.basis) + list(A2.basis)
-    P = Matrix.from_columns(cols)
-    diag = Matrix.from_rows([
-        [(-lam if (r == c and r >= A1.dim) else 0) for c in range(n.dim)]
-        for r in range(n.dim)])
-    return RBOperator(n, P * diag * P.inverse(), lam)
+    """R(a1 + a2) = -lam a2 for a direct decomposition into subalgebras A1, A2:
+    the triangular split with an empty middle block."""
+    spec = TriangularSplitSpec(A1, Subspace.zero(n.dim), A2, Matrix.zero(0, 0))
+    return triangular_split(n, spec, lam)
 
 
 def is_split(op: RBOperator) -> bool:
@@ -185,16 +176,12 @@ def triangular_split(n: LieAlgebra, spec: TriangularSplitSpec, lam) -> RBOperato
     if not is_rb_operator(a0_alg, spec.r_zero, lam):
         raise ValueError("r_zero is not an RB-operator on a_zero")
 
+    basis0 = Matrix.from_columns(a_0.basis)
+
     def span_image(m: Matrix) -> list:
         # Images of a_zero basis vectors under the coordinate operator m.
-        out = []
-        for j in range(a_0.dim):
-            col = m.column(j)
-            v = zero_vector(n.dim)
-            for c, b in zip(col, a_0.basis):
-                v = vec_add(v, vec_scale(c, b))
-            out.append(v)
-        return out
+        image = basis0 * m
+        return [image.column(j) for j in range(a_0.dim)]
 
     ident0 = Matrix.identity(a_0.dim)
     if not brackets_within(n, span_image(spec.r_zero + ident0), a_m.basis, a_m):

@@ -24,6 +24,7 @@ from postlie.classify import classify3, j_invariant
 from postlie.exactla import Matrix
 from postlie.liealg import change_basis, killing_rank
 from postlie.pastruct import (
+    bracket_tower,
     check_pa_axioms,
     derived_bracket,
     derived_dim_inequality,
@@ -119,13 +120,13 @@ def test_criterion_06_operator_transfers_to_derived_bracket():
 
 def test_criterion_07_bracket_tower_depth_6():
     for name, op in OPS.items():
-        assert kernel_ideal_checks(op, 6), name
+        assert kernel_ideal_checks(bracket_tower(op, 6)), name
     done(7, "towers to depth 6 pass Jacobi, homomorphism and kernel-ideal checks")
 
 
 def test_criterion_08_derived_dim_inequality():
     for name, op in OPS.items():
-        assert derived_dim_inequality(op, 6), name
+        assert derived_dim_inequality(bracket_tower(op, 1), 6), name
     done(8, "dim g^(i) <= dim n^(i) for i = 1..6 across the catalog")
 
 

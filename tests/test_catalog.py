@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from postlie import pastruct
 from postlie.catalog import (
     SUBALGEBRA_ROWS,
     ConstraintError,
@@ -288,3 +289,21 @@ def test_verify_witness_wrong_target_fails_only_the_fingerprint():
 def test_verify_witness_wrong_iso_fails_only_the_iso_step():
     w = next(w for w in witnesses() if w.name == "type5-case2c")
     assert failing_steps(replace(w, iso=Matrix.identity(6))) == ["explicit_isomorphism"]
+
+
+def test_verify_witness_derives_each_bracket_once(monkeypatch):
+    calls = []
+    derive = pastruct.derived_bracket
+
+    def counted(op):
+        calls.append(op)
+        return derive(op)
+
+    monkeypatch.setattr(pastruct, "derived_bracket", counted)
+    w = next(w for w in witnesses() if w.name == "type5-case2c")
+    assert verify_witness(w).ok
+    assert len(calls) == 2
+    calls.clear()
+    op = RBOperator(N6, Matrix.identity(6).scale(2), F(1))
+    assert not verify_witness(Witness("two-id", op, "1", make_type(1))).ok
+    assert calls == []

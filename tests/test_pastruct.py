@@ -5,6 +5,7 @@ import pytest
 from postlie.catalog import make_sl2, make_sl2sl2, witnesses
 from postlie.exactla import Matrix, Subspace, kernel, unit_vector
 from postlie.liealg import (
+    bracket,
     derived_series,
     fingerprint,
     first_hom_failure,
@@ -100,6 +101,19 @@ def test_corrupted_product_fails():
     assert not check_pa_axioms(broken)
 
 
+@pytest.mark.parametrize("x, y", [
+    ([1, 0, 0], [0, 1]),
+    ([1, 0, 0], [0, 1, 0, 0]),
+    ([1, 0], [0, 1, 0]),
+    ([1, 0, 0, 0], [0, 1, 0]),
+])
+def test_bracket_and_pa_product_reject_wrong_lengths(x, y):
+    p = PAProduct(SL2, SL2, SL2.table)
+    for product in (lambda a, b: bracket(SL2, a, b), p.product):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            product(x, y)
+
+
 def test_case2b_derived_bracket_fingerprint():
     g = derived_bracket(case2b_operator())
     assert [s.dim for s in derived_series(g)] == [6, 4, 0]
@@ -124,8 +138,8 @@ def test_bracket_tower_case2a():
 
 
 def test_derived_dim_inequality():
-    assert derived_dim_inequality(zero_op(N6), 6)
-    assert derived_dim_inequality(case2b_operator(), 6)
+    assert derived_dim_inequality(bracket_tower(zero_op(N6), 1), 6)
+    assert derived_dim_inequality(bracket_tower(case2b_operator(), 1), 6)
 
 
 def test_kernel_ideal_checks():
@@ -133,8 +147,8 @@ def test_kernel_ideal_checks():
     a1 = Subspace.from_vectors(6, [unit_vector(6, i) for i in (0, 2, 3, 5)])
     assert kernel(op.matrix) == a1
     assert is_ideal(derived_bracket(op), a1)
-    assert kernel_ideal_checks(op, 2)
-    assert kernel_ideal_checks(neg_op(N6), 3)
+    assert kernel_ideal_checks(bracket_tower(op, 2))
+    assert kernel_ideal_checks(bracket_tower(neg_op(N6), 3))
 
 
 def test_triple_decomposition_zero():
