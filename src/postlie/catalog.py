@@ -50,21 +50,14 @@ def make_sl2() -> LieAlgebra:
     })
 
 
-# Basis order (X1, Y1, H1, X2, Y2, H2); brackets from 4x4 matrix commutators
-# with X_i = E_{2i-1,2i}, Y_i = E_{2i,2i-1}, H_i = E_{2i-1,2i-1} - E_{2i,2i}.
+# Basis order (X1, Y1, H1, X2, Y2, H2): two table-basis sl2 copies, which are
+# the 4x4 matrix commutators of X_i = E_{2i-1,2i}, Y_i = E_{2i,2i-1},
+# H_i = E_{2i-1,2i-1} - E_{2i,2i}.
 _SL2SL2_LABELS = ("X1", "Y1", "H1", "X2", "Y2", "H2")
-X1, Y1, H1, X2, Y2, H2 = range(6)
 
 
 def make_sl2sl2() -> LieAlgebra:
-    return LieAlgebra.from_brackets(6, {
-        (X1, Y1): [(H1, 1)],
-        (X1, H1): [(X1, -2)],
-        (Y1, H1): [(Y1, 2)],
-        (X2, Y2): [(H2, 1)],
-        (X2, H2): [(X2, -2)],
-        (Y2, H2): [(Y2, 2)],
-    }, _SL2SL2_LABELS)
+    return LieAlgebra(6, direct_sum(make_sl2(), make_sl2()).table, _SL2SL2_LABELS)
 
 
 _TABLE1_TAGS = ("abelian", "n3", "r2_plus_C", "r3", "r3_lambda", "sl2")
@@ -143,31 +136,12 @@ def make_subalgebra(row: str, **params) -> Subspace:
         raise ConstraintError("row 'H1+aH2' requires a != 0")
     if row == "X1,X2,H1+lH2" and a == 0:
         raise ConstraintError("row 'X1,X2,H1+lH2' requires l != 0")
-    if a is None:
-        a = F(0)  # placeholder; only read by the parametric rows
-    gens = {
-        "X1": [_vec(X1=1)],
-        "H1": [_vec(H1=1)],
-        "X1+X2": [_vec(X1=1, X2=1)],
-        "X1+H2": [_vec(X1=1, H2=1)],
-        "H1+aH2": [_vec(H1=1, H2=a)],
-        "X1,X2": [_vec(X1=1), _vec(X2=1)],
-        "X1,H2": [_vec(X1=1), _vec(H2=1)],
-        "H1,H2": [_vec(H1=1), _vec(H2=1)],
-        "X1+X2,H1+H2": [_vec(X1=1, X2=1), _vec(H1=1, H2=1)],
-        "X1,H1+X2": [_vec(X1=1), _vec(H1=1, X2=1)],
-        "X1,H1+aH2": [_vec(X1=1), _vec(H1=1, H2=a)],
-        "X1,X2,H1+lH2": [_vec(X1=1), _vec(X2=1), _vec(H1=1, H2=a)],
-        "X1,H1,H2": [_vec(X1=1), _vec(H1=1), _vec(H2=1)],
-        "X1,H1,X2": [_vec(X1=1), _vec(H1=1), _vec(X2=1)],
-        "X1,H1,X2,H2": [_vec(X1=1), _vec(H1=1), _vec(X2=1), _vec(H2=1)],
-        "X1,Y1,H1": [_vec(X1=1), _vec(Y1=1), _vec(H1=1)],
-        "diagonal": [_vec(X1=1, X2=1), _vec(Y1=1, Y2=1), _vec(H1=1, H2=1)],
-        "X1,Y1,H1,H2": [_vec(X1=1), _vec(Y1=1), _vec(H1=1), _vec(H2=1)],
-        "X1,Y1,H1,X2": [_vec(X1=1), _vec(Y1=1), _vec(H1=1), _vec(X2=1)],
-        "X1,Y1,H1,X2,H2": [_vec(X1=1), _vec(Y1=1), _vec(H1=1), _vec(X2=1), _vec(H2=1)],
-    }[row]
-    return _span(*gens)
+    if row == "diagonal":
+        return _span(_vec(X1=1, X2=1), _vec(Y1=1, Y2=1), _vec(H1=1, H2=1))
+    # Every other row id lists its generators: each label has two characters,
+    # and a one-letter prefix is the row parameter ("H1+aH2" is H1 + a*H2).
+    return _span(*(_vec(**{t[-2:]: a if len(t) == 3 else 1 for t in gen.split("+")})
+                   for gen in row.split(",")))
 
 
 def table_rows_sampled() -> list[tuple[str, dict, Subspace]]:
@@ -291,36 +265,11 @@ def sl2_automorphisms() -> list[Matrix]:
 
 def sl2sl2_automorphisms() -> list[Matrix]:
     """Factor swap, first-factor Weyl flip, first-factor torus scaling."""
-    swap = Matrix.from_columns([
-        _vec(X2=1), _vec(Y2=1), _vec(H2=1), _vec(X1=1), _vec(Y1=1), _vec(H1=1)])
-    weyl = Matrix.from_columns([
-        _vec(Y1=1), _vec(X1=1), _vec(H1=-1), _vec(X2=1), _vec(Y2=1), _vec(H2=1)])
-    torus = Matrix.from_columns([
-        _vec(X1=2), _vec(Y1=F(1, 2)), _vec(H1=1), _vec(X2=1), _vec(Y2=1), _vec(H2=1)])
-    return [swap, weyl, torus]
-
-
-def sl2_pair_automorphisms() -> list[Matrix]:
-    """Automorphisms of the block direct sum of two table-basis sl2 copies."""
-    def emb(m: Matrix, block: int) -> list[Vector]:
-        cols = []
-        for j in range(3):
-            v = [F(0)] * 6
-            for r in range(3):
-                v[r + 3 * block] = m.rows[r][j]
-            cols.append(tuple(v))
-        return cols
-
+    zero = Matrix.zero(3, 3)
     ident = Matrix.identity(3)
-    swap_cols = emb(ident, 1) + emb(ident, 0)
-    swap = Matrix.from_columns(swap_cols)
-    flip = Matrix.from_columns(emb(_sl2_swap(), 0) + [
-        tuple([F(0)] * 3 + list(col)) for col in
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
-    torus = Matrix.from_columns(emb(_sl2_torus(2), 0) + [
-        tuple([F(0)] * 3 + list(col)) for col in
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
-    return [swap, flip, torus]
+    swap = Matrix.from_blocks([[zero, ident], [ident, zero]])
+    return [swap, Matrix.block_diag(_sl2_swap(), ident),
+            Matrix.block_diag(_sl2_torus(2), ident)]
 
 
 def r2c_automorphisms() -> list[Matrix]:
@@ -334,14 +283,11 @@ def r2c_automorphisms() -> list[Matrix]:
 
 def automorphisms_for(L: LieAlgebra) -> list[Matrix]:
     """Three verified automorphisms for each algebra carrying catalog operators."""
-    if L == make_sl2sl2():
+    if L.table == make_sl2sl2().table:  # any labelling of sl2 + sl2
         return sl2sl2_automorphisms()
-    sl2 = make_sl2()
-    if L == direct_sum(sl2, sl2):
-        return sl2_pair_automorphisms()
     if L == make_table1("r2_plus_C"):
         return r2c_automorphisms()
-    if L == sl2:
+    if L == make_sl2():
         return sl2_automorphisms()
     raise ValueError("no stored automorphisms for this algebra")
 
@@ -355,16 +301,18 @@ def example216_matrix(alpha, beta, gamma) -> Matrix:
     return Matrix.from_rows([[1, 0, 0], [0, -1, 0], [F(alpha), F(beta), F(gamma)]])
 
 
-def _map_on_span(ambient_dim: int, gens: Sequence[Vector],
-                 images: Sequence[Vector]) -> tuple[Subspace, Matrix]:
-    """Subspace spanned by gens plus the matrix of gen_i -> image_i in its
-    canonical coordinates."""
-    S = Subspace.from_vectors(ambient_dim, gens)
-    if S.dim != len(gens):
+def _case2_split(a_minus: Sequence[Vector], a_plus: Sequence[Vector],
+                 gens: Sequence[Vector], images: Sequence[Vector]) -> RBOperator:
+    """Weight-1 triangular split of sl2 + sl2 on the spans of a_minus, gens
+    and a_plus, with R(gen_i) = image_i on a_zero = span(gens)."""
+    a_zero = _span(*gens)
+    if a_zero.dim != len(gens):
         raise ValueError("generators must be linearly independent")
-    gen_coords = Matrix.from_columns([coordinates(S, g) for g in gens])
-    img_coords = Matrix.from_columns([coordinates(S, v) for v in images])
-    return S, img_coords * gen_coords.inverse()
+    gen_coords = Matrix.from_columns([coordinates(a_zero, g) for g in gens])
+    img_coords = Matrix.from_columns([coordinates(a_zero, v) for v in images])
+    spec = TriangularSplitSpec(_span(*a_minus), a_zero, _span(*a_plus),
+                               img_coords * gen_coords.inverse())
+    return triangular_split(make_sl2sl2(), spec, 1)
 
 
 def _sl2_split() -> RBOperator:
@@ -407,14 +355,11 @@ class Witness:
 
 def _type5_witness() -> Witness:
     # Triangular split with rho = 2, nu2 = 1, nu4 = 0, alpha = 1.
-    n = make_sl2sl2()
     rho, nu2, nu4, alpha = F(2), F(1), F(0), F(1)
-    a_minus = _span(_vec(X1=1), _vec(H1=1), _vec(X2=1))
-    a_plus = _span(_vec(Y1=1, X1=-nu2 * nu2, H1=nu2),
-                   _vec(Y2=1, X2=-nu4 * nu4, H2=nu4))
     x6 = _vec(H2=1, H1=alpha, X1=-2 * alpha * nu2, X2=-2 * nu4)
-    a_zero, r_zero = _map_on_span(6, [x6], [tuple(rho * c for c in x6)])
-    op = triangular_split(n, TriangularSplitSpec(a_minus, a_zero, a_plus, r_zero), 1)
+    op = _case2_split([_vec(X1=1), _vec(H1=1), _vec(X2=1)],
+                      [_vec(Y1=1, X1=-nu2 * nu2, H1=nu2), _vec(Y2=1, X2=-nu4 * nu4, H2=nu4)],
+                      [x6], [tuple(rho * c for c in x6)])
     # Explicit basis change from the construction; c is the x3-eigenvalue
     # that gets normalized to 1.
     c = -(rho + 1) / rho
@@ -435,13 +380,9 @@ def _type5_witness() -> Witness:
 
 def _type6_witness() -> Witness:
     # lam = 2, rho = 2, all nu = 0.
-    n = make_sl2sl2()
     lam, rho = F(2), F(2)
-    a_minus = _span(_vec(X1=1), _vec(X2=1), _vec(H1=1, H2=lam))
-    a_plus = _span(_vec(Y1=1), _vec(Y2=1))
-    x6 = _vec(H2=1)
-    a_zero, r_zero = _map_on_span(6, [x6], [tuple(rho * c for c in x6)])
-    op = triangular_split(n, TriangularSplitSpec(a_minus, a_zero, a_plus, r_zero), 1)
+    op = _case2_split([_vec(X1=1), _vec(X2=1), _vec(H1=1, H2=lam)],
+                      [_vec(Y1=1), _vec(Y2=1)], [_vec(H2=1)], [_vec(H2=rho)])
     target = make_type(6, lam=lam, alpha=-rho / (1 + rho))
     return Witness("type6-case2c", op, "6", target,
                    params={"lam": lam, "rho": rho,
@@ -450,13 +391,10 @@ def _type6_witness() -> Witness:
 
 def _type7_case2c_witness() -> Witness:
     # lam = 2, alpha = 1, rho = 2, all nu = 0.
-    n = make_sl2sl2()
     lam, alpha, rho = F(2), F(1), F(2)
-    a_minus = _span(_vec(X1=1), _vec(X2=1), _vec(H1=1, H2=lam))
-    a_plus = _span(_vec(Y1=1), _vec(Y2=1))
     x6 = _vec(H2=1, H1=alpha)
-    a_zero, r_zero = _map_on_span(6, [x6], [tuple(rho * c for c in x6)])
-    op = triangular_split(n, TriangularSplitSpec(a_minus, a_zero, a_plus, r_zero), 1)
+    op = _case2_split([_vec(X1=1), _vec(X2=1), _vec(H1=1, H2=lam)],
+                      [_vec(Y1=1), _vec(Y2=1)], [x6], [tuple(rho * c for c in x6)])
     delta = -rho / (rho + 1)
     alpha_p = (1 - alpha * lam) / delta
     # Basis chain of the construction (nu2 = nu4 = 0 simplifies the vectors).
@@ -479,16 +417,10 @@ def _type7_case2c_witness() -> Witness:
 
 def _case2d_diagonal(rho1, rho2, xi1, xi2) -> RBOperator:
     """Triangular split of the two-eigenvalue kind with nu1 = nu2 = 0."""
-    n = make_sl2sl2()
-    rho1, rho2, xi1, xi2 = F(rho1), F(rho2), F(xi1), F(xi2)
-    a_minus = _span(_vec(X1=1), _vec(X2=1))
-    a_plus = _span(_vec(Y1=1), _vec(Y2=1))
     x5 = _vec(H1=1, H2=xi1)
     x6 = _vec(H2=1, H1=xi2)
-    a_zero, r_zero = _map_on_span(
-        6, [x5, x6],
-        [tuple(rho1 * c for c in x5), tuple(rho2 * c for c in x6)])
-    return triangular_split(n, TriangularSplitSpec(a_minus, a_zero, a_plus, r_zero), 1)
+    return _case2_split([_vec(X1=1), _vec(X2=1)], [_vec(Y1=1), _vec(Y2=1)], [x5, x6],
+                        [tuple(rho1 * c for c in x5), tuple(rho2 * c for c in x6)])
 
 
 def _type8a_witness() -> Witness:
@@ -518,17 +450,12 @@ def _type7_case2d_witness() -> Witness:
 
 def _type8b_witness() -> Witness:
     # Jordan-block action on the torus part: R(x5) = rho1 x5, R(x6) = x5 + rho1 x6.
-    n = make_sl2sl2()
     rho1, xi, kappa = F(-1, 2), F(1), F(2)
-    a_minus = _span(_vec(X1=1), _vec(X2=1))
-    a_plus = _span(_vec(Y1=1), _vec(Y2=1))
     x5 = _vec(H1=1, H2=xi)
-    x6 = tuple(kappa * c for c in _vec(H2=1))
-    a_zero, r_zero = _map_on_span(
-        6, [x5, x6],
-        [tuple(rho1 * c for c in x5),
-         tuple(a + rho1 * b for a, b in zip(x5, x6))])
-    op = triangular_split(n, TriangularSplitSpec(a_minus, a_zero, a_plus, r_zero), 1)
+    x6 = _vec(H2=kappa)
+    op = _case2_split([_vec(X1=1), _vec(X2=1)], [_vec(Y1=1), _vec(Y2=1)], [x5, x6],
+                      [tuple(rho1 * c for c in x5),
+                       tuple(a + rho1 * b for a, b in zip(x5, x6))])
     gamma = -rho1 / (rho1 + 1)
     a1 = gamma + 1
     a2 = xi

@@ -107,6 +107,8 @@ def parse_algebra(text: str) -> LieAlgebra:
         if key == "dim":
             dim = _dim(tokens, dim)
         elif key == "basis":
+            if labels is not None:
+                raise ParseError("duplicate basis line")
             labels = tuple(tokens[1:])
         elif key == "bracket":
             if dim is None:
@@ -145,6 +147,8 @@ def parse_operator(text: str) -> tuple[int, Fraction, Matrix]:
         if key == "dim":
             dim = _dim(tokens, dim)
         elif key == "weight":
+            if weight is not None:
+                raise ParseError("duplicate weight line")
             if len(tokens) != 2:
                 raise ParseError("bad weight line")
             weight = _rational(tokens[1])

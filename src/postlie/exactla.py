@@ -16,6 +16,7 @@ Vector = tuple[Fraction, ...]
 
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -32,7 +33,7 @@ def zero_vector(n: int) -> Vector:
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -40,7 +41,7 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 
 
 def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
+    c = rat(c)
     return tuple(c * a for a in v)
 
 
@@ -62,11 +63,28 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(x) for x in r) for r in rows))
+        return Matrix(tuple(map(vector, rows)))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
         return Matrix.from_rows(list(zip(*cols, strict=True)))
+
+    @staticmethod
+    def from_blocks(grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
+        """Matrix from a grid of block rows. Blocks in one block row must share
+        their height: zipping their rows would drop the extra rows of a taller one."""
+        rows = []
+        for blocks in grid:
+            if len({b.nrows for b in blocks}) > 1:
+                raise ValueError("blocks of one block row differ in height")
+            rows += (sum(parts, ()) for parts in zip(*(b.rows for b in blocks)))
+        return Matrix(tuple(rows))
+
+    @staticmethod
+    def block_diag(*blocks: "Matrix") -> "Matrix":
+        return Matrix.from_blocks([[b if i == j else Matrix.zero(b.nrows, c.ncols)
+                                    for j, c in enumerate(blocks)]
+                                   for i, b in enumerate(blocks)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -129,7 +147,7 @@ class Matrix:
         return Matrix(tuple(out))
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
+        c = rat(c)
         return Matrix(tuple(tuple(c * x for x in r) for r in self.rows))
 
     def power(self, k: int) -> "Matrix":
@@ -151,11 +169,11 @@ class Matrix:
         # Gaussian elimination with exact pivoting.
         n = self.nrows
         m = [list(r) for r in self.rows]
-        d = Fraction(1)
+        d = ONE
         for col in range(n):
             piv = next((r for r in range(col, n) if m[r][col] != 0), None)
             if piv is None:
-                return Fraction(0)
+                return ZERO
             if piv != col:
                 m[col], m[piv] = m[piv], m[col]
                 d = -d
@@ -236,7 +254,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [list(Fraction(x) for x in v) for v in vectors]
+        rows = [list(vector(v)) for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
@@ -251,8 +269,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim,
-                        tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)))
+        return Subspace(ambient_dim, Matrix.identity(ambient_dim).rows)
 
     @property
     def dim(self) -> int:
@@ -270,8 +287,8 @@ def kernel(m: Matrix) -> Subspace:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [ZERO] * ncols
+        v[f] = ONE
         for r, p in enumerate(pivots):
             v[p] = -reduced.rows[r][f]
         basis.append(v)
@@ -347,7 +364,7 @@ def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.nrows
-    coeffs = [Fraction(1)]
+    coeffs = [ONE]
     acc = Matrix.identity(n)
     for k in range(1, n + 1):
         acc = m * acc

@@ -53,10 +53,7 @@ class LieAlgebra:
             for k in range(dim):
                 table[j][i][k] = -table[i][j][k]
         frozen = tuple(tuple(tuple(entry) for entry in row) for row in table)
-        labels = tuple(basis_labels) if basis_labels else tuple(f"e{i+1}" for i in range(dim))
-        if len(labels) != dim:
-            raise ValueError("label count does not match dimension")
-        return LieAlgebra(dim, frozen, labels)
+        return LieAlgebra(dim, frozen, _labels(dim, basis_labels))
 
     @staticmethod
     def from_table(dim: int, table: Sequence[Sequence[Sequence]],
@@ -66,8 +63,7 @@ class LieAlgebra:
             for j in range(dim):
                 if frozen[i][j] != tuple(-x for x in frozen[j][i]):
                     raise ValueError("bracket table is not antisymmetric")
-        labels = tuple(basis_labels) if basis_labels else tuple(f"e{i+1}" for i in range(dim))
-        return LieAlgebra(dim, frozen, labels)
+        return LieAlgebra(dim, frozen, _labels(dim, basis_labels))
 
     @staticmethod
     def abelian(dim: int) -> "LieAlgebra":
@@ -82,6 +78,14 @@ class LieAlgebra:
                 if terms:
                     out[(i, j)] = terms
         return out
+
+
+def _labels(dim: int, basis_labels: Sequence[str] | None) -> tuple[str, ...]:
+    """One label per basis vector; e1, e2, ... when none are given."""
+    labels = tuple(basis_labels) if basis_labels else tuple(f"e{i+1}" for i in range(dim))
+    if len(labels) != dim:
+        raise ValueError("label count does not match dimension")
+    return labels
 
 
 def bilinear(table: Sequence[Sequence[Vector]], x: Sequence, y: Sequence) -> Vector:
@@ -141,15 +145,12 @@ def ad_matrix(L: LieAlgebra, x: Sequence) -> Matrix:
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
     """Block structure constants, no cross terms."""
-    n1, n2 = L1.dim, L2.dim
-    dim = n1 + n2
-    sc: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (i, j), terms in L1.sparse_brackets().items():
-        sc[(i, j)] = list(terms)
+    n1 = L1.dim
+    sc = L1.sparse_brackets()
     for (i, j), terms in L2.sparse_brackets().items():
         sc[(i + n1, j + n1)] = [(k + n1, c) for k, c in terms]
     labels = tuple(f"{l}'" for l in L1.basis_labels) + tuple(f"{l}''" for l in L2.basis_labels)
-    return LieAlgebra.from_brackets(dim, sc, labels)
+    return LieAlgebra.from_brackets(n1 + L2.dim, sc, labels)
 
 
 def bracket_span(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:

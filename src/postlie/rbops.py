@@ -121,14 +121,8 @@ def diagonal_sum(op1: RBOperator, op2: RBOperator) -> RBOperator:
     """Block-diagonal operator on the direct sum of the two algebras."""
     if op1.weight != op2.weight:
         raise ValueError("diagonal sum requires equal weights")
-    n1, n2 = op1.algebra.dim, op2.algebra.dim
-    rows = []
-    for r in range(n1):
-        rows.append(list(op1.matrix.rows[r]) + [Fraction(0)] * n2)
-    for r in range(n2):
-        rows.append([Fraction(0)] * n1 + list(op2.matrix.rows[r]))
     return RBOperator(direct_sum(op1.algebra, op2.algebra),
-                      Matrix.from_rows(rows), op1.weight)
+                      Matrix.block_diag(op1.matrix, op2.matrix), op1.weight)
 
 
 def double_construction(s: LieAlgebra, psi: Matrix, variant: str) -> RBOperator:
@@ -137,19 +131,12 @@ def double_construction(s: LieAlgebra, psi: Matrix, variant: str) -> RBOperator:
         raise ValueError("psi is not a Lie algebra automorphism")
     if variant not in ("nilpotent", "negative"):
         raise ValueError("variant must be 'nilpotent' or 'negative'")
-    n = s.dim
-    rows = []
+    zero = Matrix.zero(s.dim, s.dim)
     if variant == "nilpotent":
-        for r in range(n):
-            rows.append([Fraction(0)] * (2 * n))
-        for r in range(n):
-            rows.append(list(psi.rows[r]) + [Fraction(0)] * n)
+        grid = [[zero, zero], [psi, zero]]
     else:
-        for r in range(n):
-            rows.append([-Fraction(1) if c == r else Fraction(0) for c in range(2 * n)])
-        for r in range(n):
-            rows.append([-x for x in psi.rows[r]] + [Fraction(0)] * n)
-    return RBOperator(direct_sum(s, s), Matrix.from_rows(rows), Fraction(1))
+        grid = [[Matrix.identity(s.dim).scale(-1), zero], [psi.scale(-1), zero]]
+    return RBOperator(direct_sum(s, s), Matrix.from_blocks(grid), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -191,16 +178,9 @@ def triangular_split(n: LieAlgebra, spec: TriangularSplitSpec, lam) -> RBOperato
 
     cols = list(a_m.basis) + list(a_0.basis) + list(a_p.basis)
     P = Matrix.from_columns(cols)
-    d = n.dim
-    block = [[Fraction(0)] * d for _ in range(d)]
-    off = a_m.dim
-    for r in range(a_0.dim):
-        for c in range(a_0.dim):
-            block[off + r][off + c] = spec.r_zero.rows[r][c]
-    off = a_m.dim + a_0.dim
-    for r in range(a_p.dim):
-        block[off + r][off + r] = -lam
-    return RBOperator(n, P * Matrix.from_rows(block) * P.inverse(), lam)
+    block = Matrix.block_diag(Matrix.zero(a_m.dim, a_m.dim), spec.r_zero,
+                              Matrix.identity(a_p.dim).scale(-lam))
+    return RBOperator(n, P * block * P.inverse(), lam)
 
 
 def enumerate_split_operators(n: LieAlgebra,

@@ -48,6 +48,10 @@ def test_make_sl2sl2_brackets():
     assert bracket(N6, unit_vector(6, 0), unit_vector(6, 1)) == unit_vector(6, 2)
     assert bracket(N6, unit_vector(6, 2), unit_vector(6, 0)) == vector([2, 0, 0, 0, 0, 0])
     assert bracket(N6, unit_vector(6, 2), unit_vector(6, 1)) == vector([0, -2, 0, 0, 0, 0])
+    assert bracket(N6, unit_vector(6, 3), unit_vector(6, 4)) == unit_vector(6, 5)
+    assert bracket(N6, unit_vector(6, 5), unit_vector(6, 3)) == vector([0, 0, 0, 2, 0, 0])
+    assert bracket(N6, unit_vector(6, 5), unit_vector(6, 4)) == vector([0, 0, 0, 0, -2, 0])
+    assert N6.basis_labels == ("X1", "Y1", "H1", "X2", "Y2", "H2")
     assert bracket(N6, unit_vector(6, 0), unit_vector(6, 3)) == (F(0),) * 6
     assert is_semisimple(N6)
 
@@ -114,6 +118,18 @@ def test_make_subalgebra_errors():
         make_subalgebra("H1+aH2", a=0)
     with pytest.raises(ConstraintError):
         make_subalgebra("X1,X2,H1+lH2", l=0)
+
+
+def test_make_subalgebra_reads_generators_from_row_id():
+    def span(*vectors):
+        return Subspace.from_vectors(6, [vector(v) for v in vectors])
+
+    assert make_subalgebra("X1,H1+aH2", a=2) == span((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 2))
+    assert make_subalgebra("X1,X2,H1+lH2", l=3) == span(
+        (1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 3))
+    assert make_subalgebra("X1+X2,H1+H2") == span((1, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 1))
+    assert make_subalgebra("diagonal") == span(
+        (1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1))
 
 
 def test_make_type_jacobi_random_params():
@@ -235,6 +251,7 @@ def test_automorphisms_are_automorphisms():
         assert len(auts) == 3
         for psi in auts:
             assert is_lie_automorphism(L, psi)
+    assert automorphisms_for(direct_sum(sl2, sl2)) == automorphisms_for(N6)
     with pytest.raises(ValueError):
         automorphisms_for(make_table1("r3"))
 

@@ -188,6 +188,7 @@ MALFORMED_ALGEBRAS = {
     "non-integer-k": "dim 3\nbracket 0 1 : c 1\n",
     "zero-denominator": "dim 3\nbracket 0 1 : 2 1/0\n",
     "repeated-dim": "dim 3\nbracket 0 2 : 1 1\ndim 2\n",
+    "repeated-basis": "dim 2\nbasis a b\nbasis c d\n",
     "repeated-target": "dim 3\nbracket 0 1 : 2 1 2 1\n",
 }
 
@@ -207,10 +208,13 @@ def test_non_ascii_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_repeated_dim_in_operator_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "dim 2\nweight 1\nrow 1 0\ndim 3\nrow 1 0 0\nrow 0 1 0\n",
+    "dim 2\nweight 1\nweight 2\nrow 0 0\nrow 0 0\n",
+], ids=["dim", "weight"])
+def test_repeated_header_in_operator_exits_2(tmp_path, capsys, text):
     alg = write(tmp_path / "a.alg", "dim 2\n")
-    rbop = write(tmp_path / "r.rbop",
-                 "dim 2\nweight 1\nrow 1 0\ndim 3\nrow 1 0 0\nrow 0 1 0\n")
+    rbop = write(tmp_path / "r.rbop", text)
     assert cli.main(["rb-check", alg, rbop]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

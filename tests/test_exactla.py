@@ -66,6 +66,21 @@ def test_rref_idempotent():
         assert again == reduced and rk2 == rk
 
 
+def test_from_blocks_and_block_diag_layout():
+    a = Matrix.from_rows([[1, 2, 3]])
+    b = Matrix.from_rows([[4], [5]])
+    c = Matrix.from_rows([[6, 7], [8, 9]])
+    assert Matrix.block_diag(a, b) == Matrix.from_rows(
+        [[1, 2, 3, 0], [0, 0, 0, 4], [0, 0, 0, 5]])
+    assert Matrix.block_diag(Matrix.zero(0, 0), c, Matrix.zero(0, 0)) == c
+    grid = [[b, c], [Matrix.from_rows([[1]]), Matrix.from_rows([[2, 3]])]]
+    assert Matrix.from_blocks(grid) == Matrix.from_rows([[4, 6, 7], [5, 8, 9], [1, 2, 3]])
+    with pytest.raises(ValueError, match="differ in height"):
+        Matrix.from_blocks([[b, a]])
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix.from_blocks([[a], [b]])
+
+
 def test_kernel_identity_and_zero():
     assert kernel(Matrix.identity(4)) == Subspace.zero(4)
     assert kernel(Matrix.zero(3, 3)) == Subspace.full(3)

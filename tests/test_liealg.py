@@ -72,6 +72,18 @@ def test_from_table_rejects_asymmetry():
         LieAlgebra.from_table(2, [[(0, 0), (0, 1)], [(0, 1), (0, 0)]])
 
 
+@pytest.mark.parametrize("build", [LieAlgebra.from_brackets, LieAlgebra.from_table])
+def test_label_count_must_match_dimension(build):
+    table = [[(0, 0), (0, 1)], [(0, -1), (0, 0)]]
+    sc = {(0, 1): [(1, 1)]}
+    data = sc if build is LieAlgebra.from_brackets else table
+    assert build(2, data, ("a", "b")).basis_labels == ("a", "b")
+    assert build(2, data).basis_labels == ("e1", "e2")
+    for labels in (("a",), ("a", "b", "c")):
+        with pytest.raises(ValueError, match="label count"):
+            build(2, data, labels)
+
+
 def test_direct_sum_blocks():
     one = LieAlgebra.abelian(1)
     s = direct_sum(R2, one)
