@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classify import fingerprint_equal, is_lie_isomorphism
+from .classify import is_lie_isomorphism
 from .exactla import Matrix, Subspace, Vector, coordinates
-from .liealg import LieAlgebra, direct_sum
+from .liealg import LieAlgebra, direct_sum, fingerprint
 from .pastruct import (
     bracket_tower,
     derived_dim_inequality,
@@ -301,9 +301,9 @@ def example216_matrix(alpha, beta, gamma) -> Matrix:
     return Matrix.from_rows([[1, 0, 0], [0, -1, 0], [F(alpha), F(beta), F(gamma)]])
 
 
-def _case2_split(a_minus: Sequence[Vector], a_plus: Sequence[Vector],
+def _case2_split(n: LieAlgebra, a_minus: Sequence[Vector], a_plus: Sequence[Vector],
                  gens: Sequence[Vector], images: Sequence[Vector]) -> RBOperator:
-    """Weight-1 triangular split of sl2 + sl2 on the spans of a_minus, gens
+    """Weight-1 triangular split of n = sl2 + sl2 on the spans of a_minus, gens
     and a_plus, with R(gen_i) = image_i on a_zero = span(gens)."""
     a_zero = _span(*gens)
     if a_zero.dim != len(gens):
@@ -312,7 +312,7 @@ def _case2_split(a_minus: Sequence[Vector], a_plus: Sequence[Vector],
     img_coords = Matrix.from_columns([coordinates(a_zero, v) for v in images])
     spec = TriangularSplitSpec(_span(*a_minus), a_zero, _span(*a_plus),
                                img_coords * gen_coords.inverse())
-    return triangular_split(make_sl2sl2(), spec, 1)
+    return triangular_split(n, spec, 1)
 
 
 def _sl2_split() -> RBOperator:
@@ -353,11 +353,11 @@ class Witness:
     params: dict = field(default_factory=dict)
 
 
-def _type5_witness() -> Witness:
+def _type5_witness(n: LieAlgebra) -> Witness:
     # Triangular split with rho = 2, nu2 = 1, nu4 = 0, alpha = 1.
     rho, nu2, nu4, alpha = F(2), F(1), F(0), F(1)
     x6 = _vec(H2=1, H1=alpha, X1=-2 * alpha * nu2, X2=-2 * nu4)
-    op = _case2_split([_vec(X1=1), _vec(H1=1), _vec(X2=1)],
+    op = _case2_split(n, [_vec(X1=1), _vec(H1=1), _vec(X2=1)],
                       [_vec(Y1=1, X1=-nu2 * nu2, H1=nu2), _vec(Y2=1, X2=-nu4 * nu4, H2=nu4)],
                       [x6], [tuple(rho * c for c in x6)])
     # Explicit basis change from the construction; c is the x3-eigenvalue
@@ -378,10 +378,10 @@ def _type5_witness() -> Witness:
                            "target_alpha": alpha / c, "target_beta": 1 / c})
 
 
-def _type6_witness() -> Witness:
+def _type6_witness(n: LieAlgebra) -> Witness:
     # lam = 2, rho = 2, all nu = 0.
     lam, rho = F(2), F(2)
-    op = _case2_split([_vec(X1=1), _vec(X2=1), _vec(H1=1, H2=lam)],
+    op = _case2_split(n, [_vec(X1=1), _vec(X2=1), _vec(H1=1, H2=lam)],
                       [_vec(Y1=1), _vec(Y2=1)], [_vec(H2=1)], [_vec(H2=rho)])
     target = make_type(6, lam=lam, alpha=-rho / (1 + rho))
     return Witness("type6-case2c", op, "6", target,
@@ -389,11 +389,11 @@ def _type6_witness() -> Witness:
                            "target_alpha": -rho / (1 + rho)})
 
 
-def _type7_case2c_witness() -> Witness:
+def _type7_case2c_witness(n: LieAlgebra) -> Witness:
     # lam = 2, alpha = 1, rho = 2, all nu = 0.
     lam, alpha, rho = F(2), F(1), F(2)
     x6 = _vec(H2=1, H1=alpha)
-    op = _case2_split([_vec(X1=1), _vec(X2=1), _vec(H1=1, H2=lam)],
+    op = _case2_split(n, [_vec(X1=1), _vec(X2=1), _vec(H1=1, H2=lam)],
                       [_vec(Y1=1), _vec(Y2=1)], [x6], [tuple(rho * c for c in x6)])
     delta = -rho / (rho + 1)
     alpha_p = (1 - alpha * lam) / delta
@@ -415,17 +415,17 @@ def _type7_case2c_witness() -> Witness:
                            "target_alpha2": alpha})
 
 
-def _case2d_diagonal(rho1, rho2, xi1, xi2) -> RBOperator:
+def _case2d_diagonal(n: LieAlgebra, rho1, rho2, xi1, xi2) -> RBOperator:
     """Triangular split of the two-eigenvalue kind with nu1 = nu2 = 0."""
     x5 = _vec(H1=1, H2=xi1)
     x6 = _vec(H2=1, H1=xi2)
-    return _case2_split([_vec(X1=1), _vec(X2=1)], [_vec(Y1=1), _vec(Y2=1)], [x5, x6],
+    return _case2_split(n, [_vec(X1=1), _vec(X2=1)], [_vec(Y1=1), _vec(Y2=1)], [x5, x6],
                         [tuple(rho1 * c for c in x5), tuple(rho2 * c for c in x6)])
 
 
-def _type8a_witness() -> Witness:
+def _type8a_witness(n: LieAlgebra) -> Witness:
     rho1, rho2, xi1, xi2 = F(1), F(2), F(2), F(3)
-    op = _case2d_diagonal(rho1, rho2, xi1, xi2)
+    op = _case2d_diagonal(n, rho1, rho2, xi1, xi2)
     gamma = -rho1 / (rho1 + 1)
     delta = -rho2 / (rho2 + 1)
     target = make_type(8, variant="a", alpha1=xi2, alpha2=xi1,
@@ -436,11 +436,11 @@ def _type8a_witness() -> Witness:
                            "alpha7": delta})
 
 
-def _type7_case2d_witness() -> Witness:
+def _type7_case2d_witness(n: LieAlgebra) -> Witness:
     # Covers the triple (lam, lam-1, 1) excluded from the 2c construction:
     # xi2 = 0, xi1 = -1 makes the weight pattern match type (7) at (2, 1, 1).
     rho1, rho2 = F(-1, 2), F(-2, 3)
-    op = _case2d_diagonal(rho1, rho2, F(-1), F(0))
+    op = _case2d_diagonal(n, rho1, rho2, F(-1), F(0))
     target = make_type(7, lam=2, alpha1=1, alpha2=1)
     return Witness("type7-case2d", op, "7", target,
                    params={"rho1": rho1, "rho2": rho2, "xi1": F(-1), "xi2": F(0),
@@ -448,12 +448,12 @@ def _type7_case2d_witness() -> Witness:
                            "target_alpha2": F(1)})
 
 
-def _type8b_witness() -> Witness:
+def _type8b_witness(n: LieAlgebra) -> Witness:
     # Jordan-block action on the torus part: R(x5) = rho1 x5, R(x6) = x5 + rho1 x6.
     rho1, xi, kappa = F(-1, 2), F(1), F(2)
     x5 = _vec(H1=1, H2=xi)
     x6 = _vec(H2=kappa)
-    op = _case2_split([_vec(X1=1), _vec(X2=1)], [_vec(Y1=1), _vec(Y2=1)], [x5, x6],
+    op = _case2_split(n, [_vec(X1=1), _vec(X2=1)], [_vec(Y1=1), _vec(Y2=1)], [x5, x6],
                       [tuple(rho1 * c for c in x5),
                        tuple(a + rho1 * b for a, b in zip(x5, x6))])
     gamma = -rho1 / (rho1 + 1)
@@ -467,30 +467,29 @@ def _type8b_witness() -> Witness:
 
 
 def witnesses() -> list[Witness]:
-    """At least one verified witness per target type (1)-(8)."""
+    """At least one verified witness per target type (1)-(8); sl2 + sl2 is built once."""
     n = make_sl2sl2()
     sl2 = make_sl2()
     ident6 = Matrix.identity(6)
     out = [
-        Witness("type1-zero", _zero_operator(n), "1", make_type(1)),
-        Witness("type1-neg-id", RBOperator(n, ident6.scale(-1), F(1)), "1",
-                make_type(1)),
+        Witness("type1-zero", _zero_operator(n), "1", n),
+        Witness("type1-neg-id", RBOperator(n, ident6.scale(-1), F(1)), "1", n),
         Witness("type1-double-nilpotent-id",
                 double_construction(sl2, Matrix.identity(3), "nilpotent"),
-                "1", make_type(1)),
+                "1", n),
         Witness("type1-double-negative-id",
                 double_construction(sl2, Matrix.identity(3), "negative"),
-                "1", make_type(1)),
+                "1", n),
         Witness("type1-double-nilpotent-weyl",
                 double_construction(sl2, _sl2_swap(), "nilpotent"),
-                "1", make_type(1)),
+                "1", n),
         Witness("type1-double-negative-weyl",
                 double_construction(sl2, _sl2_swap(), "negative"),
-                "1", make_type(1)),
+                "1", n),
         Witness("type1-split-factors",
                 split_operator(n, _span(_vec(X2=1), _vec(Y2=1), _vec(H2=1)),
                                _span(_vec(X1=1), _vec(Y1=1), _vec(H1=1)), 1),
-                "1", make_type(1)),
+                "1", n),
         Witness("type2-split",
                 diagonal_sum(_zero_operator(sl2), _sl2_split()),
                 "2", make_type(2, lam=0), params={"lam": F(0)}),
@@ -510,12 +509,12 @@ def witnesses() -> list[Witness]:
                 split_operator(n, _span(_vec(X1=1), _vec(H1=1), _vec(X2=1), _vec(H2=1)),
                                _span(_vec(Y1=1), _vec(Y2=1, H1=1)), 1),
                 "4", make_type(4)),
-        _type5_witness(),
-        _type6_witness(),
-        _type7_case2c_witness(),
-        _type7_case2d_witness(),
-        _type8a_witness(),
-        _type8b_witness(),
+        _type5_witness(n),
+        _type6_witness(n),
+        _type7_case2c_witness(n),
+        _type7_case2d_witness(n),
+        _type8a_witness(n),
+        _type8b_witness(n),
     ]
     return out
 
@@ -554,12 +553,13 @@ def verify_witness(w: Witness) -> WitnessReport:
     """Run the full certification pipeline for one witness.
 
     One ``bracket_tower(op, 2)`` per witness gives n, g and g_2 to every
-    step. Each level comes from ``derived_bracket``, which raises unless it
-    satisfies Jacobi and R, R+id are homomorphisms to the level below; an RB
-    operator on n is RB on g, so level 2 exists whenever g does.
-    ``triple_decomposition`` raises unless every invariant holds. Every step
-    after the first two needs the tower, so when the RB identity or g fails
-    they are reported False without running.
+    step, and one ``fingerprint(g)`` serves the fingerprint match and the
+    dimension inequality. Each level comes from ``derived_bracket``, which
+    raises unless it satisfies Jacobi and R, R+id are homomorphisms to the
+    level below; an RB operator on n is RB on g, so level 2 exists whenever
+    g does. ``triple_decomposition`` raises unless every invariant holds.
+    Every step after the first two needs the tower, so when the RB identity
+    or g fails they are reported False without running.
     """
     op = w.operator
     rb = is_rb_operator(op.algebra, op.matrix, op.weight)
@@ -570,11 +570,13 @@ def verify_witness(w: Witness) -> WitnessReport:
         except ArithmeticError:
             pass
     g = tower.levels[1] if tower is not None else None
+    g_fp = fingerprint(g) if g is not None else None
     checks = [
         ("kernel_ideals_depth2", lambda: kernel_ideal_checks(tower)),
-        ("derived_dim_inequality_depth6", lambda: derived_dim_inequality(tower, 6)),
+        ("derived_dim_inequality_depth6",
+         lambda: derived_dim_inequality(tower, 6, g_fp.derived_dims)),
         ("triple_decomposition", lambda: triple_decomposition(op) is not None),
-        ("fingerprint_match", lambda: fingerprint_equal(g, w.target)),
+        ("fingerprint_match", lambda: g_fp == fingerprint(w.target)),
     ]
     if w.iso is not None:
         checks.append(("explicit_isomorphism",

@@ -1,14 +1,18 @@
 """Exact rational linear algebra: vectors, matrices and canonical subspaces.
 
-All scalars are ``fractions.Fraction``; nothing here ever rounds. Subspaces
-are kept in reduced row-echelon form so that equal subspaces are structurally
-equal objects.
+Nothing rounds. The kernels work in ints, on each object's integer numerators
+over one denominator (``ints``), with fraction-free elimination; ``Fraction``
+appears only at the API boundary. Subspaces are kept in reduced row-echelon
+form so that equal subspaces are structurally equal objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -24,6 +28,18 @@ def rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def as_ints(v: Iterable) -> tuple[list[int], int]:
+    """(nums, den): integer numerators of v over its least common denominator."""
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def as_fractions(nums: Iterable[int], den: int) -> Vector:
+    """The vector nums / den; zero entries share ``ZERO``."""
+    return tuple(Fraction(x, den) if x else ZERO for x in nums)
+
+
 def vector(coords: Iterable) -> Vector:
     return tuple(map(rat, coords))
 
@@ -34,19 +50,6 @@ def zero_vector(n: int) -> Vector:
 
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = rat(c)
-    return tuple(c * a for a in v)
-
-
-def is_zero_vector(v: Vector) -> bool:
-    return all(a == 0 for a in v)
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,22 @@ class Matrix:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
                 raise ValueError("ragged matrix")
+
+    @cached_property
+    def ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, den): the rows as integer numerators over one denominator."""
+        den = lcm(*(x.denominator for r in self.rows for x in r))
+        return tuple(tuple(x.numerator * (den // x.denominator) for x in r)
+                     for r in self.rows), den
+
+    @staticmethod
+    def from_ints(rows: Sequence[Sequence[int]], den: int) -> "Matrix":
+        """rows / den, keeping its integer form with the content divided out."""
+        g = gcd(den, *(x for r in rows for x in r)) * (1 if den > 0 else -1)
+        rows, den = tuple(tuple(x // g for x in r) for r in rows), den // g
+        m = Matrix(tuple(as_fractions(r, den) for r in rows))
+        m.__dict__["ints"] = (rows, den)
+        return m
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
@@ -108,20 +127,18 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
 
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.rows, strict=True))) if self.rows else self
 
-    def apply(self, v: Vector) -> Vector:
+    def apply(self, v: Sequence) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        terms = [(c, x) for c, x in enumerate(v) if x]
-        return tuple(sum((r[c] * x for c, x in terms if r[c]), ZERO) for r in self.rows)
+        rows, den = self.ints
+        xs, dx = as_ints(v)
+        return as_fractions([sum(map(mul, r, xs)) for r in rows], den * dx)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -135,16 +152,9 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for r in self.rows:
-            acc = [ZERO] * other.ncols
-            for a, orow in zip(r, other.rows):
-                if a:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(tuple(out))
+        (a, da), (b, db) = self.ints, other.ints
+        cols = list(zip(*b))
+        return Matrix.from_ints([[sum(map(mul, r, c)) for c in cols] for r in a], da * db)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
@@ -164,77 +174,69 @@ class Matrix:
         return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
 
     def det(self) -> Fraction:
+        """det(rows / den) = det(rows) / den^n."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        # Gaussian elimination with exact pivoting.
-        n = self.nrows
-        m = [list(r) for r in self.rows]
-        d = ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                return ZERO
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                d = -d
-            d *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                f = m[r][col] * inv
-                if f:
-                    for c in range(col, n):
-                        m[r][c] -= f * m[col][c]
-        return d
+        rows, den = self.ints
+        pivots, d, sign = _eliminate([list(r) for r in rows], self.ncols)
+        return Fraction(sign * d, den ** self.nrows) if len(pivots) == self.nrows else ZERO
 
     def inverse(self) -> "Matrix":
+        """RREF of [rows | den·I] is [I | (rows / den)^-1]."""
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        aug = [list(r) + list(unit_vector(n, i)) for i, r in enumerate(self.rows)]
-        reduced, rk = _rref_rows(aug, n)
-        if rk < n:
+        rows, den = self.ints
+        aug = [list(r) + [den * (i == j) for j in range(n)] for i, r in enumerate(rows)]
+        pivots, d, _ = _eliminate(aug, n)
+        if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return Matrix(tuple(tuple(r[n:]) for r in reduced[:n]))
+        return Matrix.from_ints([r[n:] for r in aug], d)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.det() != 0
 
 
-def _rref_rows(rows: list[list[Fraction]],
-               ncols: int | None = None) -> tuple[list[list[Fraction]], int]:
-    """In-place-style RREF on a list of row lists; returns (rows, rank).
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Pivots are sought in the first ``ncols`` columns only (default: all), so
-    the rank is that of the left block; later columns are carried along.
+    Bareiss (Math. Comp. 22, 1968), above the pivot too: at pivot p each other
+    row becomes (p·row - a·pivot_row) / prev, exact since every entry is a
+    minor of the input. Pivots are sought in the first ``ncols`` columns.
+    Returns (pivots, d, sign of the row swaps): the pivot rows are the RREF
+    times d, and a full-rank square matrix has det sign·d.
     """
-    m = [list(r) for r in rows]
     nrows = len(m)
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    piv_row = 0
+    pivots: list[int] = []
+    sign, prev = 1, 1
     for col in range(ncols):
-        piv = next((r for r in range(piv_row, nrows) if m[r][col] != 0), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
-        m[piv_row], m[piv] = m[piv], m[piv_row]
-        inv = 1 / m[piv_row][col]
-        m[piv_row] = [x * inv for x in m[piv_row]]
-        for r in range(nrows):
-            if r != piv_row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[piv_row])]
-        piv_row += 1
-        if piv_row == nrows:
-            break
-    return m, piv_row
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[col]
+        for i in range(nrows):
+            if i != r:
+                a = m[i][col]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], prow)]
+        prev = p
+        pivots.append(col)
+    return pivots, prev, sign
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank."""
     if m.nrows == 0:
         return m, 0
-    reduced, rank = _rref_rows([list(r) for r in m.rows])
-    return Matrix(tuple(tuple(r) for r in reduced)), rank
+    rows = [list(r) for r in m.ints[0]]
+    pivots, d, _ = _eliminate(rows, m.ncols)
+    return Matrix.from_ints(rows, d), len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -252,16 +254,25 @@ class Subspace:
     ambient_dim: int
     basis: tuple[Vector, ...]
 
+    @cached_property
+    def ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        return Matrix(self.basis).ints
+
+    @staticmethod
+    def from_ints(ambient_dim: int, rows: list[list[int]]) -> "Subspace":
+        """Span of integer rows (each of any scale), eliminated in place."""
+        pivots, d, _ = _eliminate(rows, ambient_dim)
+        m = Matrix.from_ints(rows[:len(pivots)], d)
+        s = Subspace(ambient_dim, m.rows)
+        s.__dict__["ints"] = m.ints
+        return s
+
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [list(vector(v)) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        if not rows:
-            return Subspace(ambient_dim, ())
-        reduced, rk = _rref_rows(rows)
-        return Subspace(ambient_dim, tuple(tuple(r) for r in reduced[:rk]))
+        rows = [as_ints(v)[0] for v in vectors]
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("vector length does not match ambient dimension")
+        return Subspace.from_ints(ambient_dim, rows)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -276,28 +287,38 @@ class Subspace:
         return len(self.basis)
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.ints[0])
+
+    def contains_ints(self, x: Sequence[int]) -> bool:
+        """x (integer numerators) is in the subspace iff its pivot entries rebuild it."""
+        rows, den = self.ints
+        coords = [x[p] for p in self.pivots()]
+        rebuilt = [sum(map(mul, coords, col)) for col in zip(*rows)]
+        return (rebuilt or [0] * len(x)) == [den * a for a in x]
+
+
+def kernel_ints(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """A basis of {v : Mv = 0}; after elimination, row r of M reads
+    d·v[p_r] + sum_f rows[r][f]·v[f] = 0 over the free columns f."""
+    pivots, d, _ = _eliminate(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = d
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(v)
+    return basis
 
 
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of {v : Mv = 0}."""
-    reduced, rk = rref(m)
-    ncols = m.ncols
-    pivots = Subspace(ncols, reduced.rows[:rk]).pivots()
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.rows[r][f]
-        basis.append(v)
-    return Subspace.from_vectors(ncols, basis)
+    return Subspace.from_ints(m.ncols, kernel_ints([list(r) for r in m.ints[0]], m.ncols))
 
 
 def image(m: Matrix) -> Subspace:
     """Column space of m, canonicalized."""
-    return Subspace.from_vectors(m.nrows, [m.column(j) for j in range(m.ncols)])
+    return Subspace.from_ints(m.nrows, [list(c) for c in zip(*m.ints[0])])
 
 
 def _check_ambient(u: Subspace, v: Subspace) -> None:
@@ -310,22 +331,22 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.dim == 0 or v.dim == 0:
         return Subspace.zero(u.ambient_dim)
     # Solve a*U = b*V: kernel of the (n x (du+dv)) matrix [U^T | -V^T].
-    cols = [list(row) for row in u.basis] + [[-x for x in row] for row in v.basis]
-    m = Matrix.from_columns(cols)
-    u_cols = Matrix.from_columns(u.basis)
-    vectors = [u_cols.apply(c[: u.dim]) for c in kernel(m).basis]
-    return Subspace.from_vectors(u.ambient_dim, vectors)
+    us, vs = u.ints[0], v.ints[0]
+    system = [list(col) for col in zip(*us, *([-x for x in r] for r in vs))]
+    vectors = [[sum(map(mul, c[: u.dim], col)) for col in zip(*us)]
+               for c in kernel_ints(system, u.dim + v.dim)]
+    return Subspace.from_ints(u.ambient_dim, vectors)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
-    return Subspace.from_vectors(u.ambient_dim, list(u.basis) + list(v.basis))
+    return Subspace.from_ints(u.ambient_dim, [list(r) for r in u.ints[0] + v.ints[0]])
 
 
 def contains(u: Subspace, x: Sequence) -> bool:
     if len(x) != u.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return coordinates(u, x) is not None
+    return u.contains_ints(as_ints(x)[0])
 
 
 def is_direct_sum(parts: Sequence[Subspace]) -> bool:
@@ -346,14 +367,7 @@ def coordinates(u: Subspace, x: Sequence) -> Vector | None:
     rebuild it.
     """
     v = vector(x)
-    coords = tuple(v[p] for p in u.pivots())
-    rebuilt = [ZERO] * u.ambient_dim
-    for c, row in zip(coords, u.basis):
-        if c:
-            for k, b in enumerate(row):
-                if b:
-                    rebuilt[k] += c * b
-    return coords if tuple(rebuilt) == v else None
+    return tuple(v[p] for p in u.pivots()) if u.contains_ints(as_ints(v)[0]) else None
 
 
 def char_poly(m: Matrix) -> tuple[Fraction, ...]:

@@ -1,30 +1,56 @@
-"""Structure-constant Lie algebras: brackets, axiom checks, series, invariants."""
+"""Structure-constant Lie algebras: brackets, axiom checks, series, invariants.
+
+The checks run on the integer ``LieAlgebra.constants`` and cross-multiply.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .exactla import (
-    ZERO,
     Matrix,
     Subspace,
     Vector,
-    contains,
-    coordinates,
-    is_zero_vector,
-    kernel,
+    as_fractions,
+    as_ints,
+    kernel_ints,
     rank,
-    rat,
     unit_vector,
-    vec_add,
     vector,
     zero_vector,
 )
 
 BracketTable = tuple[tuple[Vector, ...], ...]
 SparseSC = Mapping[tuple[int, int], Sequence[tuple[int, object]]]
+# (per i: j -> numerators of a nonzero table[i][j]; den): table[i][j][k] = num[k] / den
+IntConstants = tuple[tuple[dict[int, tuple[int, ...]], ...], int]
+
+
+def structure_constants(table: Sequence[Sequence[Sequence]]) -> IntConstants:
+    """The sparse integer form of a bilinear table, over one denominator."""
+    den = lcm(*(c.denominator for row in table for entry in row for c in entry))
+    return tuple({j: tuple(c.numerator * (den // c.denominator) for c in entry)
+                  for j, entry in enumerate(row) if any(entry)} for row in table), den
+
+
+def bilinear_ints(sc, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """sum_ij x_i y_j num_ij for integer x and y, skipping zero x_i, zero
+    table entries and zero y_j: the kernel of every bilinear product."""
+    out = [0] * len(sc)
+    for xi, row in zip(x, sc):
+        if xi:
+            for j, entry in row.items():
+                c = xi * y[j]
+                if c:
+                    for k, t in enumerate(entry):
+                        out[k] += c * t
+    return out
 
 
 @dataclass(frozen=True)
@@ -40,6 +66,11 @@ class LieAlgebra:
     table: BracketTable
     basis_labels: tuple[str, ...]
 
+    @cached_property
+    def constants(self) -> IntConstants:
+        """The structure constants as sparse integers over one denominator."""
+        return structure_constants(self.table)
+
     @staticmethod
     def from_brackets(dim: int, sc: SparseSC,
                       basis_labels: Sequence[str] | None = None) -> "LieAlgebra":
@@ -50,20 +81,19 @@ class LieAlgebra:
                 raise ValueError(f"bracket indices ({i},{j}) must satisfy 0 <= i < j < dim")
             for k, c in terms:
                 table[i][j][k] += Fraction(c)
-            for k in range(dim):
-                table[j][i][k] = -table[i][j][k]
-        frozen = tuple(tuple(tuple(entry) for entry in row) for row in table)
-        return LieAlgebra(dim, frozen, _labels(dim, basis_labels))
+                table[j][i][k] -= Fraction(c)
+        return LieAlgebra.from_table(dim, table, basis_labels)
 
     @staticmethod
     def from_table(dim: int, table: Sequence[Sequence[Sequence]],
                    basis_labels: Sequence[str] | None = None) -> "LieAlgebra":
         frozen = tuple(tuple(vector(entry) for entry in row) for row in table)
-        for i in range(dim):
-            for j in range(dim):
-                if frozen[i][j] != tuple(-x for x in frozen[j][i]):
-                    raise ValueError("bracket table is not antisymmetric")
-        return LieAlgebra(dim, frozen, _labels(dim, basis_labels))
+        L = LieAlgebra(dim, frozen, _labels(dim, basis_labels))
+        sc, zero = L.constants[0], (0,) * dim
+        if any(a != -b for i in range(dim) for j in range(i, dim)
+               for a, b in zip(sc[i].get(j, zero), sc[j].get(i, zero))):
+            raise ValueError("bracket table is not antisymmetric")
+        return L
 
     @staticmethod
     def abelian(dim: int) -> "LieAlgebra":
@@ -71,13 +101,9 @@ class LieAlgebra:
 
     def sparse_brackets(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
         """Nonzero constants for i < j, suitable for emission."""
-        out: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                terms = [(k, c) for k, c in enumerate(self.table[i][j]) if c != 0]
-                if terms:
-                    out[(i, j)] = terms
-        return out
+        return {(i, j): [(k, c) for k, c in enumerate(self.table[i][j]) if c]
+                for i in range(self.dim) for j in range(i + 1, self.dim)
+                if any(self.table[i][j])}
 
 
 def _labels(dim: int, basis_labels: Sequence[str] | None) -> tuple[str, ...]:
@@ -88,47 +114,38 @@ def _labels(dim: int, basis_labels: Sequence[str] | None) -> tuple[str, ...]:
     return labels
 
 
-def bilinear(table: Sequence[Sequence[Vector]], x: Sequence, y: Sequence) -> Vector:
-    """sum_ij x_i y_j table[i][j]: the bilinear extension of a basis table.
-
-    Zero coordinates and zero table entries are skipped.
-    """
-    if len(x) != len(table) or len(y) != len(table):
+def bilinear_sc(constants: IntConstants, x: Sequence, y: Sequence) -> Vector:
+    """The bilinear product of rational x and y through integer constants."""
+    sc, den = constants
+    if len(x) != len(sc) or len(y) != len(sc):
         raise ValueError("dimension mismatch in bracket")
-    ys = [(j, yj) for j, yj in enumerate(map(rat, y)) if yj]
-    out = [ZERO] * len(table)
-    for i, xi in enumerate(map(rat, x)):
-        if not xi:
-            continue
-        row = table[i]
-        for j, yj in ys:
-            coeff = None
-            for k, t in enumerate(row[j]):
-                if t:
-                    if coeff is None:
-                        coeff = xi * yj
-                    out[k] += coeff * t
-    return tuple(out)
+    (xs, dx), (ys, dy) = as_ints(x), as_ints(y)
+    return as_fractions(bilinear_ints(sc, xs, ys), den * dx * dy)
+
+
+def bilinear(table: Sequence[Sequence[Vector]], x: Sequence, y: Sequence) -> Vector:
+    """sum_ij x_i y_j table[i][j]: the bilinear extension of a basis table."""
+    return bilinear_sc(structure_constants(table), x, y)
 
 
 def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     """Bilinear extension of the structure constants."""
-    return bilinear(L.table, x, y)
+    return bilinear_sc(L.constants, x, y)
 
 
 def jacobi_failure(L: LieAlgebra) -> tuple[int, int, int] | None:
-    """First basis triple violating the Jacobi identity, or None."""
-    for i in range(L.dim):
-        ei = unit_vector(L.dim, i)
-        for j in range(i + 1, L.dim):
-            ej = unit_vector(L.dim, j)
-            for k in range(j + 1, L.dim):
-                ek = unit_vector(L.dim, k)
-                total = vec_add(
-                    vec_add(bracket(L, L.table[i][j], ek), bracket(L, L.table[j][k], ei)),
-                    bracket(L, L.table[k][i], ej))
-                if not is_zero_vector(total):
-                    return (i, j, k)
+    """First basis triple violating the Jacobi identity, or None. The three
+    cyclic terms [[e_a, e_b], e_c] share the denominator den^2."""
+    sc = L.constants[0]
+    for i, j, k in combinations(range(L.dim), 3):
+        total = [0] * L.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, t in enumerate(sc[a].get(b, ())):
+                if t:
+                    for l, u in enumerate(sc[m].get(c, ())):
+                        total[l] += t * u
+        if any(total):
+            return (i, j, k)
     return None
 
 
@@ -155,8 +172,9 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
 
 def bracket_span(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of [u, v]."""
-    vecs = [bracket(L, a, b) for a in u.basis for b in v.basis]
-    return Subspace.from_vectors(L.dim, vecs)
+    sc = L.constants[0]
+    return Subspace.from_ints(L.dim, [bilinear_ints(sc, a, b)
+                                      for a in u.ints[0] for b in v.ints[0]])
 
 
 def brackets_within(L: LieAlgebra, A: Sequence[Sequence], B: Sequence[Sequence],
@@ -164,7 +182,9 @@ def brackets_within(L: LieAlgebra, A: Sequence[Sequence], B: Sequence[Sequence],
     """[A, B] is contained in S, checked on the given spanning vectors."""
     if S.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    return all(contains(S, bracket(L, a, b)) for a in A for b in B)
+    sc = L.constants[0]
+    bs = [as_ints(b)[0] for b in B]
+    return all(S.contains_ints(bilinear_ints(sc, as_ints(a)[0], b)) for a in A for b in bs)
 
 
 def subalgebra_closure(L: LieAlgebra, S: Subspace) -> bool:
@@ -172,19 +192,22 @@ def subalgebra_closure(L: LieAlgebra, S: Subspace) -> bool:
 
 
 def is_ideal(L: LieAlgebra, S: Subspace) -> bool:
-    units = [unit_vector(L.dim, i) for i in range(L.dim)]
-    return brackets_within(L, units, S.basis, S)
+    return brackets_within(L, Matrix.identity(L.dim).ints[0], S.basis, S)
 
 
 def first_hom_failure(phi: Matrix, g: LieAlgebra,
                       h: LieAlgebra) -> tuple[int, int] | None:
     """First basis pair (i, j), i < j, where phi [e_i, e_j]_g differs from
-    [phi e_i, phi e_j]_h, or None when phi preserves brackets."""
-    for i in range(g.dim):
-        ci = phi.column(i)
-        for j in range(i + 1, g.dim):
-            if phi.apply(g.table[i][j]) != bracket(h, ci, phi.column(j)):
-                return (i, j)
+    [phi e_i, phi e_j]_h, or None when phi preserves brackets. With phi = P / dp,
+    the two sides have denominators dp·dg and dp^2·dh."""
+    rows, dp = phi.ints
+    (gs, dg), (hs, dh) = g.constants, h.constants
+    cols, zero = list(zip(*rows)), (0,) * g.dim
+    for i, j in combinations(range(g.dim), 2):
+        lhs = [sum(map(mul, r, gs[i].get(j, zero))) for r in rows]
+        if any(a * dp * dh != b * dg
+               for a, b in zip(lhs, bilinear_ints(hs, cols[i], cols[j]))):
+            return (i, j)
     return None
 
 
@@ -210,33 +233,27 @@ def lower_central_series(L: LieAlgebra) -> list[Subspace]:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """{x : [x, e_j] = 0 for all j} as the kernel of the stacked ad system."""
-    rows = []
-    for j in range(L.dim):
-        for r in range(L.dim):
-            rows.append([L.table[i][j][r] for i in range(L.dim)])
-    return kernel(Matrix.from_rows(rows))
+    """{x : [x, e_j] = 0 for all j} as the kernel of the stacked ad system:
+    row (j, r) holds the numerators of c_ij^r over i."""
+    d, zero, sc = L.dim, (0,) * L.dim, L.constants[0]
+    rows = [[sc[i].get(j, zero)[r] for i in range(d)] for j in range(d) for r in range(d)]
+    return Subspace.from_ints(d, kernel_ints(rows, d))
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
     """K_ij = tr(ad e_i ad e_j) = sum_{k,l} c_ik^l c_jl^k, read off the table.
 
-    Only the nonzero c_ik^l are visited, and only the upper triangle is
-    computed: K is symmetric.
+    Only the nonzero c_ik^l are visited, over den^2, and only the upper
+    triangle is computed: K is symmetric.
     """
-    d, t = L.dim, L.table
-    nonzero = [[(k, l, c) for k in range(d) for l, c in enumerate(t[i][k]) if c]
-               for i in range(d)]
-    K = [[ZERO] * d for _ in range(d)]
+    d, (sc, den), zero = L.dim, L.constants, (0,) * L.dim
+    nonzero = [[(k, l, c) for k, entry in row.items() for l, c in enumerate(entry) if c]
+               for row in sc]
+    K = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            tj = t[j]
-            s = ZERO
-            for k, l, c in nonzero[i]:
-                if tj[l][k]:
-                    s += c * tj[l][k]
-            K[i][j] = K[j][i] = s
-    return Matrix(tuple(map(tuple, K)))
+            K[i][j] = K[j][i] = sum(c * sc[j].get(l, zero)[k] for k, l, c in nonzero[i])
+    return Matrix.from_ints(K, den * den)
 
 
 def killing_rank(L: LieAlgebra) -> int:
@@ -250,7 +267,8 @@ def is_semisimple(L: LieAlgebra) -> bool:
 
 def is_unimodular(L: LieAlgebra) -> bool:
     """tr ad e_i = sum_k c_ik^k vanishes for every i."""
-    return all(sum(L.table[i][k][k] for k in range(L.dim)) == 0 for i in range(L.dim))
+    return all(sum(entry[k] for k, entry in row.items()) == 0
+               for row in L.constants[0])
 
 
 def is_solvable(L: LieAlgebra) -> bool:
@@ -291,7 +309,8 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
 
 
 def change_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
-    """Transport structure constants to the basis f_i = P e_i (columns of P)."""
+    """Transport structure constants to the basis f_i = P e_i (columns of P):
+    with P = rows / dp and P^-1 = Q / dq, [f_i, f_j] is Q [P e_i, P e_j]."""
     message = "basis change must be an invertible dim x dim matrix"
     if P.nrows != L.dim or P.ncols != L.dim:
         raise ValueError(message)
@@ -299,29 +318,22 @@ def change_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
         inv = P.inverse()
     except ValueError:
         raise ValueError(message) from None
-    table = []
-    for i in range(L.dim):
-        fi = P.column(i)
-        row = []
-        for j in range(L.dim):
-            fj = P.column(j)
-            row.append(inv.apply(bracket(L, fi, fj)))
-        table.append(row)
-    return LieAlgebra.from_table(L.dim, table, L.basis_labels)
+    (rows, dp), (q, dq) = P.ints, inv.ints
+    sc, den = L.constants
+    cols = list(zip(*rows))
+    table = [[[sum(map(mul, r, bilinear_ints(sc, fi, fj))) for r in q] for fj in cols]
+             for fi in cols]
+    return LieAlgebra.from_table(L.dim, [[as_fractions(e, dq * dp * dp * den) for e in row]
+                                         for row in table], L.basis_labels)
 
 
 def restrict(L: LieAlgebra, S: Subspace,
              basis_labels: Sequence[str] | None = None) -> LieAlgebra:
-    """Structure constants of a closed subspace in its own canonical basis."""
+    """Structure constants of a closed subspace in its own canonical basis:
+    the coordinates of [a, b] are its entries at the pivots of S."""
     if not subalgebra_closure(L, S):
         raise ValueError("subspace is not closed under the bracket")
-    k = S.dim
-    table = []
-    for a in S.basis:
-        row = []
-        for b in S.basis:
-            coords = coordinates(S, bracket(L, a, b))
-            assert coords is not None
-            row.append(coords)
-        table.append(row)
-    return LieAlgebra.from_table(k, table, basis_labels)
+    (sc, den), (rows, ds), pivots = L.constants, S.ints, S.pivots()
+    table = [[as_fractions([z[p] for p in pivots], ds * ds * den)
+               for z in [bilinear_ints(sc, a, b) for b in rows]] for a in rows]
+    return LieAlgebra.from_table(S.dim, table, basis_labels)

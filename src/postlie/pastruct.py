@@ -14,29 +14,30 @@ derived bracket [x,y] = {R(x),y} - {R(y),x} + {x,y}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .exactla import (
     Matrix,
     Subspace,
     Vector,
+    as_fractions,
     image,
     intersect,
     is_direct_sum,
     kernel,
-    unit_vector,
-    vec_add,
 )
 from .liealg import (
     Fingerprint,
     LieAlgebra,
-    bilinear,
-    bracket,
+    bilinear_sc,
+    bilinear_ints,
     brackets_within,
     check_jacobi,
     derived_series,
     fingerprint,
     first_hom_failure,
+    structure_constants,
     is_ideal,
     is_solvable,
     restrict,
@@ -59,36 +60,49 @@ class PAProduct:
         if self.g.dim != self.n.dim:
             raise ValueError("pair brackets must share one dimension")
 
+    @cached_property
+    def constants(self):
+        return structure_constants(self.coeffs)
+
     def product(self, x: Sequence, y: Sequence) -> Vector:
-        return bilinear(self.coeffs, x, y)
+        return bilinear_sc(self.constants, x, y)
 
 
 def _pa_failures(p: PAProduct) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Every failing axiom instance as (axiom name, basis indices): the
     difference axiom on pairs first, then per basis triple the representation
-    and the derivation axiom."""
+    and the derivation axiom, on cross-multiplied integer numerators."""
     d = p.n.dim
-    units = [unit_vector(d, i) for i in range(d)]
+    (gs, dg), (ns, dn), (cs, dc) = p.g.constants, p.n.constants, p.constants
+    G, N, C = _dense(gs, d), _dense(ns, d), _dense(cs, d)
+    units = Matrix.identity(d).ints[0]
     for i in range(d):
         for j in range(i + 1, d):
-            lhs = tuple(a - b for a, b in zip(p.coeffs[i][j], p.coeffs[j][i]))
-            rhs = tuple(a - b for a, b in zip(p.g.table[i][j], p.n.table[i][j]))
-            if lhs != rhs:
+            # (C_ij - C_ji) / dc = G_ij / dg - N_ij / dn
+            if any((a - b) * dg * dn != (x * dn - y * dg) * dc
+                   for a, b, x, y in zip(C[i][j], C[j][i], G[i][j], N[i][j])):
                 yield ("difference", (i, j))
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                lhs = p.product(p.g.table[i][j], units[k])
-                rhs = tuple(a - b for a, b in zip(
-                    p.product(units[i], p.coeffs[j][k]),
-                    p.product(units[j], p.coeffs[i][k])))
-                if lhs != rhs:
+                # [e_i, e_j]_g . e_k over dg·dc; e_i.(e_j.e_k) - e_j.(e_i.e_k) over dc^2
+                lhs = bilinear_ints(cs, G[i][j], units[k])
+                rhs = [a - b for a, b in zip(bilinear_ints(cs, units[i], C[j][k]),
+                                             bilinear_ints(cs, units[j], C[i][k]))]
+                if any(a * dc != b * dg for a, b in zip(lhs, rhs)):
                     yield ("representation", (i, j, k))
-                lhs = p.product(units[i], p.n.table[j][k])
-                rhs = vec_add(bracket(p.n, p.coeffs[i][j], units[k]),
-                              bracket(p.n, units[j], p.coeffs[i][k]))
+                # e_i.{e_j, e_k} and {e_i.e_j, e_k} + {e_j, e_i.e_k}, all over dn·dc
+                lhs = bilinear_ints(cs, units[i], N[j][k])
+                rhs = [a + b for a, b in zip(bilinear_ints(ns, C[i][j], units[k]),
+                                             bilinear_ints(ns, units[j], C[i][k]))]
                 if lhs != rhs:
                     yield ("derivation", (i, j, k))
+
+
+def _dense(sc, d: int) -> list[list[tuple[int, ...]]]:
+    """The integer numerators of a sparse table, zero entries included."""
+    zero = (0,) * d
+    return [[row.get(j, zero) for j in range(d)] for row in sc]
 
 
 def first_pa_failure(p: PAProduct) -> tuple[str, tuple[int, ...]] | None:
@@ -115,12 +129,11 @@ def is_lie_homomorphism(phi: Matrix, g: LieAlgebra, n: LieAlgebra) -> bool:
     return first_hom_failure(phi, g, n) is None
 
 
-def _inner_coeffs(op: RBOperator) -> ProductTable:
-    """coeffs[i][j] = {R(e_i), e_j}, the inner product on basis pairs."""
-    n = op.algebra
-    units = [unit_vector(n.dim, i) for i in range(n.dim)]
-    return tuple(tuple(bracket(n, op.matrix.column(i), u) for u in units)
-                 for i in range(n.dim))
+def _inner_ints(op: RBOperator) -> tuple[list[list[list[int]]], int]:
+    """{R(e_i), e_j}, the inner product on basis pairs, as integers over dr·dn."""
+    (sc, dn), (rows, dr) = op.algebra.constants, op.matrix.ints
+    units = Matrix.identity(op.algebra.dim).ints[0]
+    return [[bilinear_ints(sc, col, u) for u in units] for col in zip(*rows)], dr * dn
 
 
 def derived_bracket(op: RBOperator) -> LieAlgebra:
@@ -128,10 +141,12 @@ def derived_bracket(op: RBOperator) -> LieAlgebra:
     _require_weight_one(op)
     n = op.algebra
     d = n.dim
-    c = _inner_coeffs(op)
-    table = [[vec_add(tuple(a - b for a, b in zip(c[i][j], c[j][i])), n.table[i][j])
+    c, den = _inner_ints(op)
+    dr, N = op.matrix.ints[1], _dense(n.constants[0], d)
+    table = [[[a - b + dr * x for a, b, x in zip(c[i][j], c[j][i], N[i][j])]
               for j in range(d)] for i in range(d)]
-    g = LieAlgebra.from_table(d, table, n.basis_labels)
+    g = LieAlgebra.from_table(d, [[as_fractions(e, den) for e in row] for row in table],
+                              n.basis_labels)
     if not check_jacobi(g):
         raise ArithmeticError("derived bracket fails Jacobi; operator is not RB")
     rid = op.matrix + Matrix.identity(d)
@@ -142,7 +157,9 @@ def derived_bracket(op: RBOperator) -> LieAlgebra:
 
 def inner_pa_from_rb(op: RBOperator) -> PAProduct:
     """x.y = {R(x), y} together with the derived bracket as g."""
-    return PAProduct(derived_bracket(op), op.algebra, _inner_coeffs(op))
+    c, den = _inner_ints(op)
+    coeffs = tuple(tuple(as_fractions(entry, den) for entry in row) for row in c)
+    return PAProduct(derived_bracket(op), op.algebra, coeffs)
 
 
 @dataclass(frozen=True)
@@ -166,16 +183,17 @@ def bracket_tower(op: RBOperator, depth: int) -> BracketTower:
     return BracketTower(op, tuple(levels))
 
 
-def derived_dim_inequality(tower: BracketTower, depth: int) -> bool:
-    """dim g^(i) <= dim n^(i) for i = 1..depth, with n = levels[0], g = levels[1]."""
+def derived_dim_inequality(tower: BracketTower, depth: int,
+                           g_dims: Sequence[int] | None = None) -> bool:
+    """dim g^(i) <= dim n^(i) for i = 1..depth, with n = levels[0], g = levels[1].
+    ``g_dims``, g's derived dimensions, spare the series when a caller has them."""
 
-    def dims(L: LieAlgebra) -> list[int]:
-        ds = [s.dim for s in derived_series(L)]
-        while len(ds) < depth:
-            ds.append(ds[-1])
-        return ds[:depth]
-
-    return all(a <= b for a, b in zip(dims(tower.levels[1]), dims(tower.levels[0])))
+    if g_dims is None:
+        g_dims = [s.dim for s in derived_series(tower.levels[1])]
+    n_dims = [s.dim for s in derived_series(tower.levels[0])]
+    # A series keeps its last dimension once it has stabilized.
+    return all(g_dims[min(i, len(g_dims) - 1)] <= n_dims[min(i, len(n_dims) - 1)]
+               for i in range(depth))
 
 
 def kernel_ideal_checks(tower: BracketTower) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .classify import is_lie_isomorphism
@@ -19,13 +20,10 @@ from .exactla import (
     Subspace,
     is_direct_sum,
     subspace_sum,
-    unit_vector,
-    vec_add,
-    vec_scale,
 )
 from .liealg import (
     LieAlgebra,
-    bracket,
+    bilinear_ints,
     brackets_within,
     direct_sum,
     restrict,
@@ -45,21 +43,22 @@ class RBOperator:
 
 
 def first_rb_failure(n: LieAlgebra, R: Matrix, lam) -> tuple[int, int] | None:
-    """First basis pair (i, j), i < j, violating the RB identity, or None."""
+    """First basis pair (i, j), i < j, violating the RB identity, or None.
+    With R = P / dr and lam = lp / lq, the inner sum has denominator dr·dn·lq,
+    so the right side has dr^2·dn·lq where the left side has dr^2·dn."""
     lam = Fraction(lam)
     if R.nrows != n.dim or R.ncols != n.dim:
         raise ValueError("operator dimension mismatch")
+    (sc, _), (rows, dr), zero = n.constants, R.ints, (0,) * n.dim
+    cols, lp, lq = list(zip(*rows)), lam.numerator, lam.denominator
+    units = Matrix.identity(n.dim).ints[0]
     for i in range(n.dim):
-        ei = unit_vector(n.dim, i)
-        ri = R.column(i)
         for j in range(i + 1, n.dim):
-            ej = unit_vector(n.dim, j)
-            rj = R.column(j)
-            lhs = bracket(n, ri, rj)
-            inner = vec_add(vec_add(bracket(n, ri, ej), bracket(n, ei, rj)),
-                            vec_scale(lam, n.table[i][j]))
-            rhs = R.apply(inner)
-            if lhs != rhs:
+            lhs = bilinear_ints(sc, cols[i], cols[j])
+            inner = [lq * (a + b) + lp * dr * c for a, b, c in zip(
+                bilinear_ints(sc, cols[i], units[j]), bilinear_ints(sc, units[i], cols[j]),
+                sc[i].get(j, zero))]
+            if any(a * lq != sum(map(mul, r, inner)) for a, r in zip(lhs, rows)):
                 return (i, j)
     return None
 

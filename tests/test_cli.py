@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,15 @@ def test_verify_thm41_all(capsys):
     out = capsys.readouterr().out
     assert "result: all witnesses pass (8 types)" in out
     assert "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "postlie", "verify-thm41", "--all"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "result: all witnesses pass (8 types)"
 
 
 MALFORMED_ALGEBRAS = {
